@@ -1,6 +1,6 @@
 # Convenience targets (cf. the paper artifact's makefiles).
 
-.PHONY: all build test stress trace-smoke profile-smoke serve-smoke metrics-smoke adapt-smoke bench bench-quick bench-compare examples clean
+.PHONY: all build test stress trace-smoke profile-smoke serve-smoke metrics-smoke adapt-smoke perfbench-smoke bench bench-quick bench-compare examples clean
 
 # Fixed-seed chaos specification used by `make stress` (see
 # docs/RUNTIME.md for the BDS_CHAOS format).  delay+starve perturb
@@ -76,6 +76,14 @@ adapt-smoke:
 	dune build bench/main.exe
 	dune exec bench/main.exe -- --quick --procs 2 --only sweep \
 	  --sweep-grain 512,8192,131072 --adaptive --adapt-gate 0.5
+
+# Benchmark smoke: a short run of each gated perfbench workload.  Every
+# pass checks each kernel's output against its sequential reference, and
+# a run with a wrong output exits non-zero (perfbench/README.md).
+perfbench-smoke:
+	for w in filter-flatten scan-reduce; do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 3 --trace 0 || exit 1; \
+	done
 
 bench:
 	dune exec bench/main.exe 2>&1 | tee bench_output.txt

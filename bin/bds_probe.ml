@@ -112,16 +112,18 @@ let streams () =
   let sum = Bds.Seq.reduce ( + ) 0 (Bds.Seq.map (fun x -> 2 * x) scanned) in
   report "map-reduce" b0 sum;
   (* Filtered reduce: the survivor-mask pass folds each input block,
-     then reduce drives each output block as a selected_region over the
-     re-planned input — skip-push, no trickle. *)
+     then reduce drives each output block as a masked_region over the
+     re-planned input — the iota blocks are indexed, so emission seeks
+     from survivor to survivor through the masks; no trickle. *)
   let b1 = Telemetry.snapshot () in
   let kept = Bds.Seq.filter (fun x -> x land 1 = 0) input in
   let sum2 = Bds.Seq.reduce ( + ) 0 kept in
   report "filter-reduce" b1 sum2;
   (* Flatten chain: flat_map materialises the inner sequences once,
      then reduce drives each output block as an of_segments region —
-     nested push, no trickle.  A filter after the flatten re-enters the
-     skip-push path on region blocks. *)
+     nested push, no trickle.  A filter after the flatten masks the
+     region blocks, which have no index function, so its emission walks
+     them once with a bit test per element. *)
   let b2 = Telemetry.snapshot () in
   let flat = Bds.Seq.flat_map (fun x -> Bds.Seq.tabulate 2 (fun j -> x + j)) input in
   let sum3 = Bds.Seq.reduce ( + ) 0 (Bds.Seq.filter (fun x -> x land 1 = 0) flat) in

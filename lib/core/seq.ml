@@ -431,24 +431,16 @@ let packed_bid (packed : 'a array array) =
    element, recording per input block a survivor *bitmask* and count
    (one fused pass, one bit per element — survivor values are never
    copied); the counts are prefix-summed into output offsets.  The
-   output BID's blocks are [Stream.selected_region] views that re-drive
-   the input through a pure bitmask lookup inside the input's own fold
-   loop, skipping into position — emitting zero elements per
-   non-survivor instead of packing.  Like scan's phase 3, emission
-   re-drives the input's element functions (the "evaluated twice" cost
-   the cost semantics already price) through [replan]: a memo published
-   on the input reroutes emission automatically, and the output BID's
-   own shared-consumer accounting bounds repeated emission.  The
-   predicate itself is never re-run, so effectful predicates keep
-   filter-once semantics. *)
-let[@inline] mask_get mask k =
-  Char.code (Bytes.unsafe_get mask (k lsr 3)) land (1 lsl (k land 7)) <> 0
-
-let[@inline] mask_set mask k =
-  Bytes.unsafe_set mask (k lsr 3)
-    (Char.unsafe_chr
-       (Char.code (Bytes.unsafe_get mask (k lsr 3)) lor (1 lsl (k land 7))))
-
+   output BID's blocks are [Stream.masked_region] views over the input
+   blocks and their masks: an indexed input (a RAD, a memo, stateless
+   stages over them) is re-evaluated only at survivors, found by seeking
+   through the mask; any other input is re-walked once with a bit test
+   per element.  Like scan's phase 3, emission re-drives the input's
+   element functions (the cost the cost semantics already price)
+   through [replan]: a memo published on the input reroutes emission
+   automatically, and the output BID's own shared-consumer accounting
+   bounds repeated emission.  The predicate itself is never re-run, so
+   effectful predicates keep filter-once semantics. *)
 let filter p s =
   Profile.with_op "filter" (fun () ->
       let n = length s in
@@ -460,18 +452,9 @@ let filter p s =
         let masks = Array.make nb Bytes.empty in
         let counts = Array.make nb 0 in
         apply_bid_blocks b (fun j ->
-            let st = blocks j in
-            let mask = Bytes.make ((Stream.length st + 7) / 8) '\000' in
-            let cnt = ref 0 in
-            Stream.iteri
-              (fun k v ->
-                if p v then begin
-                  mask_set mask k;
-                  incr cnt
-                end)
-              st;
+            let mask, cnt = Stream.select_mask p (blocks j) in
             masks.(j) <- mask;
-            counts.(j) <- !cnt);
+            counts.(j) <- cnt);
         let offsets, total = Parray.scan_seq ( + ) 0 counts in
         if total = 0 then empty
         else begin
@@ -479,18 +462,13 @@ let filter p s =
           Bid
             (fresh_bid ~b_len:total ~b_size:bsize (fun () ->
                  let p_in = replan b in
-                 let opt_block j =
-                   let mask = masks.(j) in
-                   Stream.mapi
-                     (fun k v -> if mask_get mask k then Some v else None)
-                     (p_in j)
-                 in
                  fun i ->
                    let pos = i * bsize in
                    let len = min bsize (total - pos) in
                    let j0 = offset_search offsets pos in
-                   Stream.selected_region ~length:len ~blocks:opt_block
-                     ~start_block:j0 ~skip:(pos - offsets.(j0))))
+                   Stream.masked_region ~length:len ~blocks:p_in
+                     ~masks:(Array.get masks) ~start_block:j0
+                     ~skip:(pos - offsets.(j0))))
         end
       end)
 

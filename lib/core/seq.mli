@@ -73,9 +73,12 @@ val scan_incl : ('a -> 'a -> 'a) -> 'a -> 'a t -> 'a t
 
 (** [filter p s] runs [p] exactly once per element (an eager parallel
     pass recording survivors in per-block bitmasks); the output BID's
-    blocks are skip-push regions ([Stream.selected_region]) that
-    re-drive the input through the masks — no packed copy, and the
-    blocks stay fused push views (docs/STREAMS.md "The skip-push
+    blocks are masked regions ([Stream.masked_region]) over the input
+    blocks — no packed copy, and the blocks stay fused push views.
+    Emission from an indexed input (a RAD, a forced BID, or stateless
+    stages over them) seeks through the masks and re-evaluates the input
+    only at survivors; any other input (a scan, another filter or
+    flatten) is re-walked once (docs/STREAMS.md "The skip-push
     protocol"). *)
 val filter : ('a -> bool) -> 'a t -> 'a t
 

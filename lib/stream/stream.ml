@@ -412,62 +412,103 @@ let of_segments ~length ~seg_len ~elem ~start_seg ~start_ofs =
     fused = true;
   }
 
-(* [selected_region]'s step function stops the inner block fold early
-   (once the region has emitted [stop] survivors) by raising.  The
-   exception constructor is created per fold invocation ([let
-   exception] below): regions nest — a filter-of-filter block drives an
-   inner region inside the outer one's step function — and a shared
-   constructor would let the innermost region's handler swallow an
-   outer region's stop signal, leaving the outer loop undercounted and
-   walking past its last input block. *)
+(* Survivor bitmasks: bit [k land 7] of byte [k lsr 3] marks position
+   [k] of a block. *)
+let[@inline] mask_get mask k =
+  Char.code (Bytes.unsafe_get mask (k lsr 3)) land (1 lsl (k land 7)) <> 0
 
-(* Skip-push filtered region: the block view behind the skip-based
-   [Seq.filter].  Walks the input option-stream blocks from
-   [start_block] inside each input's own (native) fold loop; a [None]
-   element emits nothing — the "skip" arm of the push protocol — a
-   [Some] emits its payload, with the first [skip] survivors dropped so
-   a region can start mid-block.  [fused] mirrors the first input
-   block: when the producer blocks are fused (the common case — memo
-   slices, or tabulate chains the selecting [mapi] composed into),
-   consumers of the region count as fused too, and the cancellation
-   cadence is the input loop's own 64-element poll.  The caller
+let[@inline] mask_set mask k =
+  Bytes.unsafe_set mask (k lsr 3)
+    (Char.unsafe_chr
+       (Char.code (Bytes.unsafe_get mask (k lsr 3)) lor (1 lsl (k land 7))))
+
+(* Count of trailing zero bits of each non-zero byte value. *)
+let ctz8 =
+  String.init 256 (fun b ->
+      let rec go i = if i = 7 || b land (1 lsl i) <> 0 then i else go (i + 1) in
+      Char.chr (go 0))
+
+(* Smallest set position [k >= p] if one is below [hi], else some
+   position [>= hi]: one step per zero byte, never one per position. *)
+let rec next_set mask p hi =
+  if p >= hi then hi
+  else begin
+    let byte = Char.code (Bytes.unsafe_get mask (p lsr 3)) lsr (p land 7) in
+    if byte = 0 then next_set mask ((p lor 7) + 1) hi
+    else p + Char.code (String.unsafe_get ctz8 byte)
+  end
+
+(* Masked region: the block view behind [Seq.filter].  Emits, in order,
+   the elements of the concatenated input blocks [blocks start_block,
+   blocks (start_block+1), ...] whose bit is set in the matching
+   [masks j], dropping the first [skip] survivors (so a region can start
+   mid-block) and stopping after [length].  Per input block:
+
+   - indexed input (the block carries [ixfn]): seek from set bit to set
+     bit through the mask, a zero byte at a time, and evaluate the index
+     function only at survivors — O(survivors + length/8) instead of one
+     element evaluation per input position;
+   - any other input (a scan's output, another region): walk the input
+     once inside its own fold loop and test each position's bit.
+
+   The early stop raises an exception created per fold invocation ([let
+   exception]): regions nest — a filter-of-filter block drives an inner
+   region inside the outer one's step function — and a shared
+   constructor would let the inner region's handler swallow the outer
+   region's stop.  The indexed seek polls the cancellation token once per
+   64 positions whether or not they survive; the walk inherits the input
+   loop's cadence.  [fused] mirrors [blocks start_block].  The caller
    guarantees [skip + length] survivors exist from [start_block]
    onward. *)
-let selected_region ~length ~(blocks : int -> 'b option t) ~start_block ~skip =
+let masked_region ~length ~(blocks : int -> 'a t) ~masks ~start_block ~skip =
   if length < 0 || start_block < 0 || skip < 0 then
-    invalid_arg "Stream.selected_region";
+    invalid_arg "Stream.masked_region";
   {
     length;
     ixfn = None;
     start =
       (fun () ->
         let blk = ref start_block in
-        let remaining = ref 0 in
+        let mask = ref Bytes.empty in
+        let len = ref 0 in
+        let pos = ref 0 in
+        let ix = ref None in
         let next = ref (fun () -> assert false) in
         let to_skip = ref skip in
-        fun () ->
-          let rec go () =
-            if !remaining = 0 then begin
-              let s = blocks !blk in
-              incr blk;
-              remaining := s.length;
-              next := s.start ();
-              go ()
-            end
-            else begin
+        let rec go () =
+          if !pos >= !len then begin
+            let s = blocks !blk in
+            mask := masks !blk;
+            incr blk;
+            len := s.length;
+            pos := 0;
+            ix := s.ixfn;
+            (match s.ixfn with None -> next := s.start () | Some _ -> ());
+            go ()
+          end
+          else
+            match !ix with
+            | Some f ->
+              let k = next_set !mask !pos !len in
+              pos := k + 1;
+              if k >= !len then go ()
+              else if !to_skip > 0 then begin
+                decr to_skip;
+                go ()
+              end
+              else f k
+            | None ->
+              let k = !pos in
+              pos := k + 1;
               let v = !next () in
-              decr remaining;
-              match v with
-              | None -> go ()
-              | Some w ->
-                if !to_skip > 0 then begin
-                  decr to_skip;
-                  go ()
-                end
-                else w
-            end
-          in
-          go ());
+              if not (mask_get !mask k) then go ()
+              else if !to_skip > 0 then begin
+                decr to_skip;
+                go ()
+              end
+              else v
+        in
+        go);
     fold =
       (fun ~stop g z ->
         if stop <= 0 then z
@@ -476,22 +517,40 @@ let selected_region ~length ~(blocks : int -> 'b option t) ~start_block ~skip =
           let acc = ref z in
           let emitted = ref 0 in
           let to_skip = ref skip in
+          let emit v =
+            acc := g !acc v;
+            incr emitted;
+            if !emitted >= stop then raise_notrace Region_filled
+          in
           let blk = ref start_block in
           (try
              while !emitted < stop do
                let s = blocks !blk in
+               let mask = masks !blk in
                incr blk;
-               s.fold ~stop:s.length
-                 (fun () v ->
-                   match v with
-                   | None -> ()
-                   | Some w ->
-                     if !to_skip > 0 then decr to_skip
-                     else begin
-                       acc := g !acc w;
-                       incr emitted;
-                       if !emitted >= stop then raise_notrace Region_filled
-                     end)
+               let len = s.length in
+               match s.ixfn with
+               | Some f ->
+                 let p = ref 0 in
+                 while !p < len do
+                   Cancel.poll ();
+                   let hi = min len (!p + poll_chunk) in
+                   let k = ref (next_set mask !p hi) in
+                   while !k < hi do
+                     if !to_skip > 0 then decr to_skip else emit (f !k);
+                     k := next_set mask (!k + 1) hi
+                   done;
+                   p := hi
+                 done
+               | None ->
+                 let _ : int =
+                   s.fold ~stop:len
+                     (fun k v ->
+                       if mask_get mask k then
+                         (if !to_skip > 0 then decr to_skip else emit v);
+                       k + 1)
+                     0
+                 in
                  ()
              done
            with Region_filled -> ());
@@ -629,6 +688,43 @@ let pack_op_to_array p s =
         (fun () v -> match p v with Some w -> Buffer_ext.push buf w | None -> ())
         ();
       Buffer_ext.to_array buf)
+
+(* Phase 1 of [Seq.filter] on one block: run [p] once per element and
+   record the survivors as a bitmask for [masked_region], plus their
+   count.  An indexed block is read by a direct loop over its index
+   function with [keep] written out inline: the fold's step closure, or
+   even a call to [keep], costs the sparse filter kernels (tokens,
+   grep) about 10%. *)
+let select_mask p s =
+  count_path s;
+  profiled (fun () ->
+      let n = s.length in
+      let mask = Bytes.make ((n + 7) / 8) '\000' in
+      let cnt = ref 0 in
+      let keep k v =
+        if p v then begin
+          mask_set mask k;
+          incr cnt
+        end
+      in
+      (match s.ixfn with
+       | Some f ->
+         let i = ref 0 in
+         while !i < n do
+           Cancel.poll ();
+           let hi = min n (!i + poll_chunk) in
+           for k = !i to hi - 1 do
+             if p (f k) then begin
+               mask_set mask k;
+               incr cnt
+             end
+           done;
+           i := hi
+         done
+       | None ->
+         let _ : int = s.fold ~stop:n (fun k v -> keep k v; k + 1) 0 in
+         ());
+      (mask, !cnt))
 
 let to_array s =
   if s.length = 0 then [||]

@@ -91,23 +91,27 @@ val of_segments :
   start_ofs:int ->
   'a t
 
-(** Skip-push filtered region — the block view behind the skip-based
-    [Seq.filter].  [selected_region ~length ~blocks ~start_block ~skip]
-    yields the [Some] payloads of the concatenated input option-stream
-    blocks [blocks start_block, blocks (start_block+1), ...], dropping
-    the first [skip] survivors and stopping after [length].  The fold
-    consumes every raw input element inside the input block's own fold
-    loop (emitting zero elements for a [None] is the "skip" arm of the
-    push protocol), so when the inputs are fused the region is too —
-    {!is_fused} mirrors [blocks start_block] — and the cancellation
-    cadence is the input loop's.  The caller guarantees [skip + length]
-    survivors exist from [start_block] onward; O(1). *)
-val selected_region :
+(** Masked region — the block view behind [Seq.filter].  [masked_region
+    ~length ~blocks ~masks ~start_block ~skip] yields the elements of the
+    concatenated input blocks [blocks start_block, blocks (start_block+1),
+    ...] whose bit is set in the matching mask [masks j] (built by
+    {!select_mask}), dropping the first [skip] survivors and stopping
+    after [length].  When an input block is indexed (a source, or
+    stateless stages over one) both {!fold} and {!start} seek from set
+    bit to set bit, a zero mask byte at a time, and evaluate the block's
+    element function only at survivors; any other input block is walked
+    once inside its own fold loop with a bit test per position.  The
+    seek polls the cancellation token every 64 input positions, set or
+    not; {!is_fused} mirrors [blocks start_block].  The caller
+    guarantees [skip + length] survivors exist from [start_block]
+    onward; O(1). *)
+val masked_region :
   length:int ->
-  blocks:(int -> 'b option t) ->
+  blocks:(int -> 'a t) ->
+  masks:(int -> Bytes.t) ->
   start_block:int ->
   skip:int ->
-  'b t
+  'a t
 
 (** {1 Linear consumers}
 
@@ -153,6 +157,11 @@ val pack_to_array : ('a -> bool) -> 'a t -> 'a array
 
 (** filterOp / mapPartial: keep the [Some] images. *)
 val pack_op_to_array : ('a -> 'b option) -> 'a t -> 'b array
+
+(** [select_mask p s] runs [p] once per element and returns the survivor
+    bitmask {!masked_region} reads (bit [k land 7] of byte [k lsr 3] is
+    set iff element [k] satisfies [p]) and the survivor count. *)
+val select_mask : ('a -> bool) -> 'a t -> Bytes.t * int
 
 val to_array : 'a t -> 'a array
 val to_list : 'a t -> 'a list

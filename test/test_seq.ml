@@ -379,6 +379,41 @@ let test_partition_single_pass () =
       Alcotest.(check int) "halves never re-run the predicate" n
         (Atomic.get evals))
 
+let test_filter_cost () =
+  (* Cost semantics of filter consumed once: the predicate runs once per
+     element; an indexed input's element function runs once per element
+     in the mask pass and once more per survivor in emission (not once
+     more per element); a non-indexed input (a scan output) is re-walked,
+     but the predicate still runs once per element. *)
+  with_policy (Bds.Block.Fixed 64) (fun () ->
+      let n = 10_000 in
+      let f_evals = Atomic.make 0 in
+      let p_evals = Atomic.make 0 in
+      let f i =
+        Atomic.incr f_evals;
+        7 * i
+      in
+      let p x =
+        Atomic.incr p_evals;
+        x mod 10 = 3
+      in
+      let model = List.filter (fun x -> x mod 10 = 3) (List.init n (fun i -> 7 * i)) in
+      let survivors = List.length model in
+      let sum = S.reduce ( + ) 0 (S.filter p (S.tabulate n f)) in
+      Alcotest.(check int) "sum" (List.fold_left ( + ) 0 model) sum;
+      Alcotest.(check int) "p once per element" n (Atomic.get p_evals);
+      Alcotest.(check int) "f once per element + once per survivor"
+        (n + survivors) (Atomic.get f_evals);
+      Atomic.set p_evals 0;
+      let scanned, _ = S.scan ( + ) 0 (S.tabulate n f) in
+      let kept = S.filter p scanned in
+      let model =
+        List.filter (fun x -> x mod 10 = 3) (fst (list_scan ( + ) 0 (List.init n (fun i -> 7 * i))))
+      in
+      Alcotest.(check int) "scan input sum" (List.fold_left ( + ) 0 model)
+        (S.reduce ( + ) 0 kept);
+      Alcotest.(check int) "p once per element over a scan" n (Atomic.get p_evals))
+
 let test_shared_forces () =
   (* Shared-consumer plan: a BID consumed by two independent consumers
      forces its memo exactly once (one shared_forces bump for the whole
@@ -506,6 +541,7 @@ let () =
           Alcotest.test_case "blockwise api" `Quick test_blockwise_api;
           Alcotest.test_case "filter_op" `Quick test_filter_op;
           Alcotest.test_case "partition single pass" `Quick test_partition_single_pass;
+          Alcotest.test_case "filter cost" `Quick test_filter_cost;
           Alcotest.test_case "shared forces" `Quick test_shared_forces;
           Alcotest.test_case "early-exit counts" `Quick test_early_exit_counts;
           Alcotest.test_case "early-exit parallel" `Quick test_early_exit_parallel;

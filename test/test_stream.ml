@@ -244,54 +244,117 @@ let test_of_segments () =
   check_ilist "across empty segment" [ 2; 3; 4 ]
     (Stream.to_list (mk ~length:3 ~start_seg:0 ~start_ofs:2))
 
-(* Skip-push filtered region over option-stream blocks. *)
-let test_selected_region () =
-  (* blocks j holds the multiples of 3 in [10j, 10j+10). *)
+(* Masked regions.  Input block [j] holds the values [blen*j ..
+   blen*j+blen-1] (so a value is its global position), either indexed (a
+   tabulate: the seek path) or not (a scan over one, which carries no
+   index function: the walk path).  Masks come from [select_mask] over a
+   fresh copy of the block. *)
+let region_input ~indexed ~blen j =
+  let s = Stream.tabulate blen (fun k -> (blen * j) + k) in
+  if indexed then s else Stream.scan_incl (fun _ v -> v) 0 s
+
+let region ~indexed ~blen ~keep ~length ~start_block ~skip =
+  let blocks = region_input ~indexed ~blen in
+  let masks j = fst (Stream.select_mask keep (blocks j)) in
+  Stream.masked_region ~length ~blocks ~masks ~start_block ~skip
+
+(* The survivors of [keep] among positions [blen*start_block ..
+   blen*nb-1], minus the first [skip]. *)
+let region_model ~blen ~nb ~keep ~start_block ~skip =
+  List.init ((nb - start_block) * blen) (fun i -> (blen * start_block) + i)
+  |> List.filter keep
+  |> List.filteri (fun i _ -> i >= skip)
+
+let test_masked_region () =
+  List.iter
+    (fun indexed ->
+      let path = if indexed then "seek" else "walk" in
+      let name s = Printf.sprintf "%s: %s" path s in
+      let mk ?(blen = 10) ?(keep = fun v -> v mod 3 = 0) ~length ~start_block
+          ~skip () =
+        region ~indexed ~blen ~keep ~length ~start_block ~skip
+      in
+      let s = mk ~length:7 ~start_block:0 ~skip:0 () in
+      Alcotest.(check bool) (name "fused mirrors input") true (Stream.is_fused s);
+      check_ilist (name "from origin") [ 0; 3; 6; 9; 12; 15; 18 ]
+        (Stream.to_list s);
+      (* skip drops survivors, so a region can start mid-block. *)
+      check_ilist (name "with skip") [ 6; 9; 12 ]
+        (Stream.to_list (mk ~length:3 ~start_block:0 ~skip:2 ()));
+      check_ilist (name "later block + skip") [ 24; 27; 30 ]
+        (Stream.to_list (mk ~length:3 ~start_block:2 ~skip:1 ()));
+      (* A skip that crosses several mask bytes of a long block. *)
+      check_ilist (name "skip across bytes") [ 60; 63 ]
+        (Stream.to_list (mk ~blen:100 ~length:2 ~start_block:0 ~skip:20 ()));
+      let next = Stream.start (mk ~length:3 ~start_block:2 ~skip:1 ()) in
+      check_ilist (name "trickle agrees") [ 24; 27; 30 ]
+        (List.init 3 (fun _ -> next ()));
+      (* Block lengths that are not a multiple of 8: the last mask byte
+         is partial and survivors straddle block boundaries. *)
+      let keep v = v mod 4 <> 1 in
+      let expect = region_model ~blen:13 ~nb:4 ~keep ~start_block:0 ~skip:5 in
+      check_ilist (name "13-element blocks")
+        (List.filteri (fun i _ -> i < 20) expect)
+        (Stream.to_list (mk ~blen:13 ~keep ~length:20 ~start_block:0 ~skip:5 ()));
+      (* Long runs of all-zero mask bytes, including whole empty blocks. *)
+      let keep v = v = 7 || v = 1999 || v = 4001 || v = 4002 in
+      let sparse = mk ~blen:1000 ~keep ~length:4 ~start_block:0 ~skip:0 () in
+      check_ilist (name "sparse") [ 7; 1999; 4001; 4002 ] (Stream.to_list sparse);
+      let next = Stream.start (mk ~blen:1000 ~keep ~length:3 ~start_block:0 ~skip:1 ()) in
+      check_ilist (name "sparse trickle") [ 1999; 4001; 4002 ]
+        (List.init 3 (fun _ -> next ()));
+      (* fold ~stop and take truncate the region itself. *)
+      Alcotest.(check int) (name "fold stop") 3
+        (Stream.fold (mk ~length:7 ~start_block:0 ~skip:0 ()) ~stop:2 ( + ) 0);
+      check_ilist (name "take") [ 9; 12 ]
+        (Stream.to_list (Stream.take 2 (mk ~length:7 ~start_block:0 ~skip:3 ())));
+      check_ilist (name "take to zero") []
+        (Stream.to_list (Stream.take 0 (mk ~length:7 ~start_block:0 ~skip:0 ()))))
+    [ true; false ];
+  (* Regions nest (filter-of-filter): the outer region's inputs are
+     inner regions, which carry no index function, so the outer region
+     walks them.  The outer region's early-stop exception must not be
+     swallowed by the inner region's fold — a shared exception
+     constructor made the outer loop undercount and walk past its last
+     input block. *)
+  let inner j =
+    region ~indexed:true ~blen:10 ~keep:(fun v -> v mod 3 = 0) ~length:3
+      ~start_block:j ~skip:0
+  in
+  let outer_masks j = fst (Stream.select_mask (fun v -> v mod 2 = 0) (inner j)) in
+  let nested () =
+    Stream.masked_region ~length:4 ~blocks:inner ~masks:outer_masks
+      ~start_block:0 ~skip:0
+  in
+  check_ilist "nested regions" [ 0; 6; 12; 18 ] (Stream.to_list (nested ()));
+  let next = Stream.start (nested ()) in
+  check_ilist "nested trickle" [ 0; 6; 12; 18 ] (List.init 4 (fun _ -> next ()));
+  Alcotest.(check int) "nested fold stop" 6 (Stream.fold (nested ()) ~stop:2 ( + ) 0)
+
+(* Positions [0, 1010] and [1075, ...) survive; cancelling at 1010 must
+   stop an indexed region before it reaches 1075, i.e. within 64 input
+   positions, although none of them survives. *)
+let test_masked_region_zero_bytes_cancel () =
+  let tok = Cancel.create () in
+  let touched = ref 0 in
+  let keep v = v <= 1010 || v >= 1075 in
   let blocks j =
-    Stream.mapi
-      (fun k _ ->
-        let v = (10 * j) + k in
-        if v mod 3 = 0 then Some v else None)
-      (Stream.tabulate 10 Fun.id)
+    Stream.tabulate 1_000 (fun k ->
+        let v = (1_000 * j) + k in
+        incr touched;
+        if v = 1010 then Cancel.cancel tok;
+        v)
   in
-  let mk ~length ~start_block ~skip =
-    Stream.selected_region ~length ~blocks ~start_block ~skip
+  let masks j =
+    fst (Stream.select_mask keep (Stream.tabulate 1_000 (fun k -> (1_000 * j) + k)))
   in
-  let s = mk ~length:7 ~start_block:0 ~skip:0 in
-  Alcotest.(check bool) "fused mirrors input" true (Stream.is_fused s);
-  check_ilist "from origin" [ 0; 3; 6; 9; 12; 15; 18 ] (Stream.to_list s);
-  (* skip drops survivors, so a region can start mid-block. *)
-  check_ilist "with skip" [ 6; 9; 12 ]
-    (Stream.to_list (mk ~length:3 ~start_block:0 ~skip:2));
-  check_ilist "later block + skip" [ 24; 27; 30 ]
-    (Stream.to_list (mk ~length:3 ~start_block:2 ~skip:1));
-  (* Trickle path agrees. *)
-  let next = Stream.start (mk ~length:3 ~start_block:2 ~skip:1) in
-  check_ilist "trickle agrees" [ 24; 27; 30 ] (List.init 3 (fun _ -> next ()));
-  (* fold ~stop truncates the region itself. *)
-  Alcotest.(check int) "fold stop" 3
-    (Stream.fold (mk ~length:7 ~start_block:0 ~skip:0) ~stop:2 ( + ) 0);
-  (* Regression: regions nest (filter-of-filter).  The outer region's
-     early-stop exception must not be swallowed by the inner region's
-     fold — a shared exception constructor made the outer loop
-     undercount and walk past its last input block. *)
-  let inner_blocks = blocks in
-  let outer_blocks j =
-    (* One outer block per inner region block: survivors v with v mod 2 = 0. *)
-    Stream.map
-      (fun v -> if v mod 2 = 0 then Some v else None)
-      (Stream.selected_region ~length:3 ~blocks:inner_blocks ~start_block:j
-         ~skip:0)
-  in
-  let nested =
-    Stream.selected_region ~length:4 ~blocks:outer_blocks ~start_block:0 ~skip:0
-  in
-  check_ilist "nested regions" [ 0; 6; 12; 18 ] (Stream.to_list nested);
-  Alcotest.(check int) "nested fold stop" 6
-    (Stream.fold
-       (Stream.selected_region ~length:4 ~blocks:outer_blocks ~start_block:0
-          ~skip:0)
-       ~stop:2 ( + ) 0)
+  Alcotest.check_raises "fold trips in the zero run" Cancel.Cancelled (fun () ->
+      Cancel.with_ambient tok (fun () ->
+          ignore
+            (Stream.reduce ( + ) 0
+               (Stream.masked_region ~length:50_000 ~blocks ~masks ~start_block:0
+                  ~skip:0))));
+  Alcotest.(check int) "no survivor past the zero run evaluated" 1011 !touched
 
 (* The nested-push loops keep the 64-element cancellation cadence. *)
 let test_region_poll_cadence () =
@@ -302,16 +365,22 @@ let test_region_poll_cadence () =
         (Stream.reduce ( + ) 0
            (Stream.of_segments ~length:100_000 ~seg_len ~elem ~start_seg:0
               ~start_ofs:0)));
-  poll_cadence_of (fun poison ->
-      let blocks j =
-        Stream.map
-          (fun k -> Some (poison ((1_000 * j) + k)))
-          (Stream.tabulate 1_000 Fun.id)
-      in
-      ignore
-        (Stream.reduce ( + ) 0
-           (Stream.selected_region ~length:100_000 ~blocks ~start_block:0
-              ~skip:0)))
+  (* Masked regions: every position survives on the seek path; on the
+     walk path nothing survives past 1000, so only the input loop's own
+     polls can stop it. *)
+  List.iter
+    (fun indexed ->
+      poll_cadence_of (fun poison ->
+          let blocks j = Stream.map poison (region_input ~indexed ~blen:1_000 j) in
+          let keep v = indexed || v <= 1_000 || v >= 90_000 in
+          let masks j =
+            fst (Stream.select_mask keep (region_input ~indexed:true ~blen:1_000 j))
+          in
+          ignore
+            (Stream.reduce ( + ) 0
+               (Stream.masked_region ~length:10_000 ~blocks ~masks ~start_block:0
+                  ~skip:0))))
+    [ true; false ]
 
 let test_buffer () =
   let b = Buffer_ext.create () in
@@ -421,6 +490,30 @@ let push_pull_tests =
         let stop = min stop (Stream.length (mk ())) in
         let prefix = List.filteri (fun i _ -> i < stop) (trickle_to_list (mk ())) in
         List.rev (Stream.fold (mk ()) ~stop (fun acc v -> v :: acc) []) = prefix);
+    Test.make ~name:"masked_region pull = push for every (start_block, skip)"
+      ~count:300
+      Gen.(
+        pair (int_range 1 24) (int_range 1 4) >>= fun (blen, nb) ->
+        int_range 0 9 >>= fun density ->
+        map2
+          (fun bits indexed -> (blen, nb, bits, indexed))
+          (array_repeat (blen * nb) (map (fun r -> r < density) (int_bound 9)))
+          bool)
+      (fun (blen, nb, bits, indexed) ->
+        let keep v = bits.(v) in
+        List.for_all
+          (fun start_block ->
+            let survivors = region_model ~blen ~nb ~keep ~start_block ~skip:0 in
+            List.for_all
+              (fun skip ->
+                let expect = List.filteri (fun i _ -> i >= skip) survivors in
+                let mk () =
+                  region ~indexed ~blen ~keep ~length:(List.length expect)
+                    ~start_block ~skip
+                in
+                trickle_to_list (mk ()) = expect && Stream.to_list (mk ()) = expect)
+              (List.init (List.length survivors) Fun.id))
+          (List.init nb Fun.id));
   ]
 
 (* The alternative pure state-passing encoding must agree with the
@@ -485,8 +578,10 @@ let () =
           Alcotest.test_case "is_fused flag" `Quick test_is_fused;
           Alcotest.test_case "fold poll cadence" `Quick test_fold_poll_cadence;
           Alcotest.test_case "of_segments" `Quick test_of_segments;
-          Alcotest.test_case "selected_region" `Quick test_selected_region;
+          Alcotest.test_case "masked_region" `Quick test_masked_region;
           Alcotest.test_case "region poll cadence" `Quick test_region_poll_cadence;
+          Alcotest.test_case "masked_region cancels in zero bytes" `Quick
+            test_masked_region_zero_bytes_cancel;
           Alcotest.test_case "buffer_ext" `Quick test_buffer;
         ] );
       ("properties", List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests);
