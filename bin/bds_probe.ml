@@ -105,8 +105,9 @@ let streams () =
       d.Telemetry.s_fused_folds d.Telemetry.s_trickle_fallbacks
   in
   let input = Bds.Seq.iota n in
-  (* BID map-reduce: scan_incl's phase 1 folds each input block, then
-     reduce folds each (map . scan_incl) block — all push-fused. *)
+  (* BID map-reduce: scan_incl's phase 1 sums the RAD input's blocks
+     directly (no Stream consumer), then reduce folds each
+     (map . scan_incl) block — all push-fused. *)
   let b0 = Telemetry.snapshot () in
   let scanned = Bds.Seq.scan_incl ( + ) 0 input in
   let sum = Bds.Seq.reduce ( + ) 0 (Bds.Seq.map (fun x -> 2 * x) scanned) in

@@ -69,6 +69,9 @@ let iota n = tabulate n (fun i -> i)
 
 let num_blocks_of b = Block.num_blocks ~block_size:b.b_size b.b_len
 
+let block_size_of s =
+  match s with Rad _ -> Block.size (length s) | Bid b -> b.b_size
+
 let block_bounds b j =
   let lo = j * b.b_size in
   let hi = min b.b_len (lo + b.b_size) in
@@ -131,7 +134,7 @@ let array_of_bid b blocks =
         end
         else begin
           let lo, _ = block_bounds b j in
-          Stream.iteri (fun k v -> Array.unsafe_set out (lo + k) v) (blocks j)
+          Stream.iteri ~base:lo (Array.unsafe_set out) (blocks j)
         end);
     out
   end
@@ -174,17 +177,44 @@ let replan b =
 let fresh_bid ~b_len ~b_size plan =
   { b_len; b_size; plan; memo = Atomic.make None; consumed = Atomic.make 0 }
 
-(* Per-block stream reductions as heavy block bodies.  The option array
-   avoids an allocation witness, so block 0 participates in the parallel
-   phase like every other block; each per-block sum is seeded from the
-   block's first pushed element ([Stream.reduce1]), so no witness is
-   needed inside a block either.  Callers fold/scan the option array
-   directly — no intermediate unwrapped copy. *)
-let block_sums_bid f b =
-  let blocks = drive b in
-  let sums = Array.make (num_blocks_of b) None in
-  apply_bid_blocks b (fun j -> sums.(j) <- Some (Stream.reduce1 f (blocks j)));
-  sums
+(* Per-block reductions as heavy block bodies (phase 1 of [reduce],
+   [scan] and [scan_incl]).  The option array avoids an allocation
+   witness, so block 0 participates in the parallel phase like every
+   other block; each per-block sum is seeded from the block's first
+   element, so no witness is needed inside a block either.  Callers
+   fold/scan the option array directly — no intermediate unwrapped copy.
+
+   A RAD is summed by one direct loop over its index function in
+   blocks of [bsize], polling the cancellation token every 64 elements
+   (the stream loops' cadence); a BID drives each block stream through
+   [Stream.reduce1] on its own grid, which the caller passes as
+   [bsize].  The caller picks [bsize] once: [Block.size] may answer
+   differently on the next call (an adaptive probe), and a scan's
+   delayed phase 3 must use the grid its sums were taken on. *)
+let block_sums f ~bsize = function
+  | Rad { r_len; get } ->
+    let nb = Block.num_blocks ~block_size:bsize r_len in
+    let bounds j = (j * bsize, min r_len ((j + 1) * bsize)) in
+    let sums = Array.make nb None in
+    Runtime.apply_blocks ~bounds ~nb (fun j ->
+        let lo, hi = bounds j in
+        let acc = ref (get lo) in
+        let i = ref (lo + 1) in
+        while !i < hi do
+          Cancel.poll ();
+          let stop = Int.min hi (!i + 64) in
+          for k = !i to stop - 1 do
+            acc := f !acc (get k)
+          done;
+          i := stop
+        done;
+        sums.(j) <- Some !acc);
+    sums
+  | Bid b ->
+    let blocks = drive b in
+    let sums = Array.make (num_blocks_of b) None in
+    apply_bid_blocks b (fun j -> sums.(j) <- Some (Stream.reduce1 f (blocks j)));
+    sums
 
 (* Sequential fold of an option array of per-block sums, [z] on the left. *)
 let fold_sums f z sums =
@@ -294,8 +324,7 @@ let mapi g s =
       | Bid b ->
         Bid
           (derived_bid b (fun st j ->
-               let lo = j * b.b_size in
-               Stream.mapi (fun k v -> g (lo + k) v) st)))
+               Stream.mapi ~base:(j * b.b_size) g st)))
 
 let zip_with f s1 s2 =
   if length s1 <> length s2 then invalid_arg "Seq.zip: length mismatch";
@@ -323,29 +352,11 @@ let zip s1 s2 = zip_with (fun a b -> (a, b)) s1 s2
 
 (* Two-phase block-based reduce. Per-block sums are seeded from the
    block's first element, so [z] is combined exactly once (no identity
-   requirement). The RAD case reads straight through the index function
-   (identical cost, less closure overhead). *)
+   requirement). *)
 let reduce f z s =
   Profile.with_op "reduce" (fun () ->
-      match s with
-      | Rad { r_len; get } ->
-        if r_len = 0 then z
-        else begin
-          let bsize = Block.size r_len in
-          let nb = Block.num_blocks ~block_size:bsize r_len in
-          let bounds j = (j * bsize, min r_len ((j + 1) * bsize)) in
-          let sums = Array.make nb None in
-          Runtime.apply_blocks ~bounds ~nb (fun j ->
-              let lo, hi = bounds j in
-              let acc = ref (get lo) in
-              for i = lo + 1 to hi - 1 do
-                acc := f !acc (get i)
-              done;
-              sums.(j) <- Some !acc);
-          fold_sums f z sums
-        end
-      | Bid b ->
-        if b.b_len = 0 then z else fold_sums f z (block_sums_bid f b))
+      if length s = 0 then z
+      else fold_sums f z (block_sums f ~bsize:(block_size_of s) s))
 
 (* Three-phase scan (Figure 10 lines 33-40): phases 1 and 2 are eager,
    phase 3 is delayed in the output BID.  Note the delayed phase 3
@@ -359,7 +370,7 @@ let scan f z s =
       if n = 0 then (empty, z)
       else begin
         let b = bid_of_seq s in
-        let sums = block_sums_bid f b in
+        let sums = block_sums f ~bsize:b.b_size s in
         let offsets, total = scan_sums f z sums in
         let out =
           Bid
@@ -376,7 +387,7 @@ let scan_incl f z s =
       if n = 0 then empty
       else begin
         let b = bid_of_seq s in
-        let sums = block_sums_bid f b in
+        let sums = block_sums f ~bsize:b.b_size s in
         let offsets, _ = scan_sums f z sums in
         Bid
           (fresh_bid ~b_len:n ~b_size:b.b_size (fun () ->
@@ -515,11 +526,11 @@ let flatten (s : 'a t t) =
         let oblocks = drive ob in
         apply_bid_blocks ob (fun j ->
             let lo, _ = block_bounds ob j in
-            Stream.iteri
-              (fun k inner ->
+            Stream.iteri ~base:lo
+              (fun i inner ->
                 let r = rad_of_seq inner in
-                Array.unsafe_set inners (lo + k) r;
-                Array.unsafe_set lengths (lo + k) (length r))
+                Array.unsafe_set inners i r;
+                Array.unsafe_set lengths i (length r))
               (oblocks j));
         let offsets, total = Parray.scan ( + ) 0 lengths in
         if total = 0 then empty
@@ -577,9 +588,6 @@ let iter_block_streams f s =
   let blocks = drive b in
   apply_bid_blocks b (fun j -> f j (blocks j))
 
-let block_size_of s =
-  match s with Rad _ -> Block.size (length s) | Bid b -> b.b_size
-
 let rev s =
   match rad_of_seq s with
   | Rad { r_len; get } -> Rad { r_len; get = (fun i -> get (r_len - 1 - i)) }
@@ -601,7 +609,7 @@ let iteri f s =
       let blocks = drive b in
       apply_bid_blocks b (fun j ->
           let lo, _ = block_bounds b j in
-          Stream.iteri (fun k v -> f (lo + k) v) (blocks j)))
+          Stream.iteri ~base:lo f (blocks j)))
 
 let to_list s = Array.to_list (to_array s)
 
@@ -616,7 +624,8 @@ let equal eq s1 s2 =
    remove — the win is purely skipping the polymorphic combine-closure
    dispatch per element: each block is one monomorphic [int] loop.  The
    per-path split mirrors [float_sum]: RAD and memoised BIDs sum
-   straight over the index function / array; an unforced BID drives
+   straight over the index function / array, polling the cancellation
+   token every 64 elements like the stream loops; an unforced BID drives
    [Stream.sum_ints] per block (monomorphic over a pure index function,
    generic fold otherwise) with plain-int partials. *)
 let int_sum s =
@@ -632,8 +641,14 @@ let int_sum s =
       Runtime.apply_blocks ~bounds ~nb (fun j ->
           let lo, hi = bounds j in
           let acc = ref 0 in
-          for i = lo to hi - 1 do
-            acc := !acc + get i
+          let i = ref lo in
+          while !i < hi do
+            Cancel.poll ();
+            let stop = Int.min hi (!i + 64) in
+            for k = !i to stop - 1 do
+              acc := !acc + get k
+            done;
+            i := stop
           done;
           partial.(j) <- !acc);
       Array.fold_left ( + ) 0 partial
@@ -651,8 +666,14 @@ let int_sum s =
         Runtime.apply_blocks ~bounds ~nb (fun j ->
             let lo, hi = bounds j in
             let acc = ref 0 in
-            for i = lo to hi - 1 do
-              acc := !acc + Array.unsafe_get a i
+            let i = ref lo in
+            while !i < hi do
+              Cancel.poll ();
+              let stop = Int.min hi (!i + 64) in
+              for k = !i to stop - 1 do
+                acc := !acc + Array.unsafe_get a k
+              done;
+              i := stop
             done;
             partial.(j) <- !acc);
         Array.fold_left ( + ) 0 partial

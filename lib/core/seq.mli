@@ -59,7 +59,10 @@ val zip_with : ('a -> 'b -> 'c) -> 'a t -> 'b t -> 'c t
 (** {1 Block-based operations} *)
 
 (** [reduce f z s]: [f] associative with unit [z]. Eager; fuses with a
-    delayed input. *)
+    delayed input.  On a RAD, [reduce] and phase 1 of {!scan} and
+    {!scan_incl} share one block-sum loop that reads the index function
+    directly, polling cancellation every 64 elements; a BID's blocks
+    are folded as streams. *)
 val reduce : ('a -> 'a -> 'a) -> 'a -> 'a t -> 'a
 
 (** Exclusive scan returning (prefixes, total). Phases 1-2 run eagerly
@@ -108,6 +111,8 @@ val force : 'a t -> 'a t
     blocks is unspecified; within a block it is left-to-right. *)
 val iter : ('a -> unit) -> 'a t -> unit
 
+(** [iter] with each element's global index, passed straight to the
+    block stream ({!Bds_stream.Stream.iteri}'s [~base]). *)
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val to_list : 'a t -> 'a list
 
@@ -134,7 +139,8 @@ val int_sum : int t -> int
 (** Monomorphic per-block int sum — the int lane's first rung.  Ints
     are unboxed already; versus [reduce ( + ) 0] this skips the
     polymorphic combine-closure dispatch per element (each block is one
-    native [int] loop).  {!sum} is an alias. *)
+    native [int] loop, polling cancellation every 64 elements).  {!sum}
+    is an alias. *)
 
 val sum : int t -> int
 val float_sum : float t -> float

@@ -81,7 +81,7 @@ let fold_of_start (start : unit -> unit -> 'a) =
   let i = ref 0 in
   while !i < stop do
     Cancel.poll ();
-    let hi = min stop (!i + poll_chunk) in
+    let hi = Int.min stop (!i + poll_chunk) in
     for _ = !i to hi - 1 do
       acc := g !acc (next ())
     done;
@@ -119,7 +119,7 @@ let tabulate n f =
         let i = ref 0 in
         while !i < stop do
           Cancel.poll ();
-          let hi = min stop (!i + poll_chunk) in
+          let hi = Int.min stop (!i + poll_chunk) in
           for k = !i to hi - 1 do
             acc := g !acc (f k)
           done;
@@ -148,7 +148,7 @@ let of_array_slice a off len =
         let i = ref 0 in
         while !i < stop do
           Cancel.poll ();
-          let hi = min stop (!i + poll_chunk) in
+          let hi = Int.min stop (!i + poll_chunk) in
           for k = !i to hi - 1 do
             acc := g !acc (Array.unsafe_get a (off + k))
           done;
@@ -179,23 +179,23 @@ let map g s =
       ixfn = None;
     }
 
-let mapi g s =
+let mapi ?(base = 0) g s =
   match s.ixfn with
-  | Some f -> tabulate s.length (fun i -> g i (f i))
+  | Some f -> tabulate s.length (fun i -> g (base + i) (f i))
   | None ->
   {
     length = s.length;
     start =
       (fun () ->
         let next = s.start () in
-        let i = ref 0 in
+        let i = ref base in
         fun () ->
           let v = g !i (next ()) in
           incr i;
           v);
     fold =
       (fun ~stop h z ->
-        let i = ref 0 in
+        let i = ref base in
         s.fold ~stop
           (fun acc v ->
             let k = !i in
@@ -206,14 +206,18 @@ let mapi g s =
     ixfn = None;
   }
 
-(* Zipping in push mode drives the left stream's fold and pulls the
-   right stream's trickle inside the same loop: a push driver owns its
-   element loop, so only one side can push.  Still one loop per block;
-   [fused] therefore reports the driving (left) side. *)
+(* Zipping in push mode: a push driver owns its element loop, so only
+   the left side pushes.  An indexed right side is read through its
+   index function at the left side's position (a [mapi] over the left
+   side), so its trickle is never pulled; any other right side is
+   pulled through its trickle [start] inside the left side's fold.
+   Still one loop per block; [fused] therefore reports the driving
+   (left) side. *)
 let zip_with f s1 s2 =
   if s1.length <> s2.length then invalid_arg "Stream.zip_with: length mismatch";
   match (s1.ixfn, s2.ixfn) with
   | Some f1, Some f2 -> tabulate s1.length (fun i -> f (f1 i) (f2 i))
+  | _, Some f2 -> mapi (fun k a -> f a (f2 k)) s1
   | _ ->
   {
     length = s1.length;
@@ -264,7 +268,7 @@ let scan f z s =
           let i = ref 0 in
           while !i < stop do
             Cancel.poll ();
-            let hi = min stop (!i + poll_chunk) in
+            let hi = Int.min stop (!i + poll_chunk) in
             for k = !i to hi - 1 do
               let cur = !st in
               st := f cur (fi k);
@@ -314,7 +318,7 @@ let scan_incl f z s =
           let i = ref 0 in
           while !i < stop do
             Cancel.poll ();
-            let hi = min stop (!i + poll_chunk) in
+            let hi = Int.min stop (!i + poll_chunk) in
             for k = !i to hi - 1 do
               let nxt = f !st (fi k) in
               st := nxt;
@@ -394,11 +398,11 @@ let of_segments ~length ~seg_len ~elem ~start_seg ~start_ofs =
           else begin
             let cur = !seg in
             let base = !ofs in
-            let avail = min (sl - base) (stop - !emitted) in
+            let avail = Int.min (sl - base) (stop - !emitted) in
             let i = ref 0 in
             while !i < avail do
               Cancel.poll ();
-              let hi = min avail (!i + poll_chunk) in
+              let hi = Int.min avail (!i + poll_chunk) in
               for k = !i to hi - 1 do
                 acc := g !acc (elem cur (base + k))
               done;
@@ -534,7 +538,7 @@ let masked_region ~length ~(blocks : int -> 'a t) ~masks ~start_block ~skip =
                  let p = ref 0 in
                  while !p < len do
                    Cancel.poll ();
-                   let hi = min len (!p + poll_chunk) in
+                   let hi = Int.min len (!p + poll_chunk) in
                    let k = ref (next_set mask !p hi) in
                    while !k < hi do
                      if !to_skip > 0 then decr to_skip else emit (f !k);
@@ -599,7 +603,7 @@ let sum_floats (s : float t) =
         let i = ref 0 in
         while !i < stop do
           Cancel.poll ();
-          let hi = min stop (!i + poll_chunk) in
+          let hi = Int.min stop (!i + poll_chunk) in
           let j = ref !i in
           while !j + 1 < hi do
             s0 := !s0 +. f !j;
@@ -630,7 +634,7 @@ let sum_ints (s : int t) =
         let i = ref 0 in
         while !i < stop do
           Cancel.poll ();
-          let hi = min stop (!i + poll_chunk) in
+          let hi = Int.min stop (!i + poll_chunk) in
           let j = ref !i in
           while !j < hi do
             acc := !acc + f !j;
@@ -642,33 +646,52 @@ let sum_ints (s : int t) =
   | None -> profiled (fun () -> s.fold ~stop:s.length ( + ) 0)
 
 (* Fold of a non-empty stream seeded from its first element; lets parallel
-   callers combine a seed exactly once across blocks.  The accumulator
-   cell is allocated when the first element arrives (no ['a option]
-   witness per element: later steps mutate the one cell in place). *)
+   callers combine a seed exactly once across blocks.  An indexed stream
+   is folded by a direct chunked loop over its index function, seeded
+   with element 0 (the [sum_ints] shape, with [f] as the one call per
+   element).  Otherwise the accumulator cell is allocated when the first
+   element arrives (no ['a option] witness per element: later steps
+   mutate the one cell in place). *)
 let reduce1 f s =
   if s.length = 0 then invalid_arg "Stream.reduce1: empty stream";
   count_path s;
-  let cell =
+  match s.ixfn with
+  | Some g ->
     profiled (fun () ->
-        s.fold ~stop:s.length
-          (fun acc v ->
-            match acc with
-            | None -> Some (ref v)
-            | Some r ->
-              r := f !r v;
-              acc)
-          None)
-  in
-  match cell with Some r -> !r | None -> assert false
+        let stop = s.length in
+        let acc = ref (g 0) in
+        let i = ref 1 in
+        while !i < stop do
+          Cancel.poll ();
+          let hi = Int.min stop (!i + poll_chunk) in
+          for k = !i to hi - 1 do
+            acc := f !acc (g k)
+          done;
+          i := hi
+        done;
+        !acc)
+  | None ->
+    let cell =
+      profiled (fun () ->
+          s.fold ~stop:s.length
+            (fun acc v ->
+              match acc with
+              | None -> Some (ref v)
+              | Some r ->
+                r := f !r v;
+                acc)
+            None)
+    in
+    (match cell with Some r -> !r | None -> assert false)
 
 let iter f s =
   count_path s;
   profiled (fun () -> s.fold ~stop:s.length (fun () v -> f v) ())
 
-let iteri f s =
+let iteri ?(base = 0) f s =
   count_path s;
   let _ : int =
-    profiled (fun () -> s.fold ~stop:s.length (fun i v -> f i v; i + 1) 0)
+    profiled (fun () -> s.fold ~stop:s.length (fun i v -> f i v; i + 1) base)
   in
   ()
 
@@ -712,7 +735,7 @@ let select_mask p s =
          let i = ref 0 in
          while !i < n do
            Cancel.poll ();
-           let hi = min n (!i + poll_chunk) in
+           let hi = Int.min n (!i + poll_chunk) in
            for k = !i to hi - 1 do
              if p (f k) then begin
                mask_set mask k;

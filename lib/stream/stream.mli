@@ -58,8 +58,20 @@ val of_array : 'a array -> 'a t
 val of_array_slice : 'a array -> int -> int -> 'a t
 
 val map : ('a -> 'b) -> 'a t -> 'b t
-val mapi : (int -> 'a -> 'b) -> 'a t -> 'b t
+
+(** [mapi ?base g s] maps element [k] to [g (base + k) v]; [base]
+    (default 0) lets a caller that knows the block's global offset pass
+    it once instead of wrapping [g] in a per-element offset closure. *)
+val mapi : ?base:int -> (int -> 'a -> 'b) -> 'a t -> 'b t
+
 val zip : 'a t -> 'b t -> ('a * 'b) t
+
+(** [zip_with f s1 s2] pairs elements by position; the left side
+    drives.  An indexed right side (a source, or stateless stages over
+    one) is read through its index function, so its trickle is never
+    pulled; any other right side is pulled through {!start} in lockstep
+    with the left side's fold.  {!is_fused} reports the left side.
+    Raises [Invalid_argument] on a length mismatch. *)
 val zip_with : ('a -> 'b -> 'c) -> 'a t -> 'b t -> 'c t
 
 (** Exclusive running fold: output element [i] combines [z] with inputs
@@ -141,15 +153,21 @@ val sum_floats : float t -> float
     design rule. *)
 val sum_ints : int t -> int
 
-(** Fold of a non-empty stream seeded from its first element (no option
-    witness: the accumulator cell is allocated when the first element is
-    pushed).  Raises [Invalid_argument] on an empty stream. *)
+(** Fold of a non-empty stream seeded from its first element, left to
+    right: [f (... (f x0 x1) ...) x(n-1)].  An indexed stream runs a
+    direct chunked loop over its index function (64-element poll
+    cadence); any other stream is pushed through {!fold} with the
+    accumulator cell allocated at the first element (no option witness
+    per element).  Raises [Invalid_argument] on an empty stream. *)
 val reduce1 : ('a -> 'a -> 'a) -> 'a t -> 'a
 
 (** The paper's [s.applyStream]. *)
 val iter : ('a -> unit) -> 'a t -> unit
 
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
+(** [iteri ?base f s] calls [f (base + k) v] on element [k], left to
+    right; [base] defaults to 0.  Block drivers pass the block's global
+    offset here rather than wrapping [f] in a per-element closure. *)
+val iteri : ?base:int -> (int -> 'a -> unit) -> 'a t -> unit
 
 (** Sequential filter into a fresh array (the paper's [s.packToArray]);
     allocates only as much as survives (plus geometric slack). *)

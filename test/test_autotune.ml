@@ -277,6 +277,30 @@ let test_e2e_smoke () =
       Alcotest.(check bool) "telemetry >= table adjustments" true
         (d.Telemetry.s_adapt_adjustments >= 0 && adj >= 0))
 
+(* Under adaptation successive [Block.size] calls may return different
+   sizes (a pending probe is handed out once).  A scan must therefore
+   take its phase-1 block sums and its delayed phase 3 from one block
+   grid; sums computed on a second grid index past the offsets array or
+   misplace them. *)
+let test_scan_one_grid () =
+  with_adaptive (fun () ->
+      Autotune.reset ();
+      let n = 50_000 in
+      let s = Bds.Seq.tabulate n (fun i -> i land 7) in
+      let expect = ref 0 and sum_prefixes = ref 0 in
+      for i = 0 to n - 1 do
+        sum_prefixes := !sum_prefixes + !expect;
+        expect := !expect + (i land 7)
+      done;
+      for _ = 1 to 64 do
+        let prefixes, total = Bds.Seq.scan ( + ) 0 s in
+        Alcotest.(check int) "scan total" !expect total;
+        Alcotest.(check int) "sum of prefixes" !sum_prefixes
+          (Bds.Seq.reduce ( + ) 0 prefixes);
+        Alcotest.(check int) "scan_incl last" !expect
+          (Bds.Seq.get (Bds.Seq.scan_incl ( + ) 0 s) (n - 1))
+      done)
+
 (* ------------------------------------------------------------------ *)
 (* Persistence (BDS_ADAPT_TABLE round trip)                            *)
 
@@ -366,6 +390,8 @@ let () =
         [
           Alcotest.test_case "decision gating" `Quick test_decision_gating;
           Alcotest.test_case "e2e smoke" `Quick test_e2e_smoke;
+          Alcotest.test_case "scan keeps one block grid" `Quick
+            test_scan_one_grid;
         ] );
       ( "persistence",
         [

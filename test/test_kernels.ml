@@ -187,7 +187,30 @@ let test_mcss () =
   Alcotest.(check int) "all negative" 0
     (K.Mcss.Delay_version.mcss (Array.make 100 (-5)));
   Alcotest.(check int) "all positive" 500 (K.Mcss.Delay_version.mcss (Array.make 100 5));
-  Alcotest.(check int) "known" 6 (K.Mcss.Delay_version.mcss [| -2; 1; -3; 4; -1; 2; 1; -5; 4 |])
+  Alcotest.(check int) "known" 6 (K.Mcss.Delay_version.mcss [| -2; 1; -3; 4; -1; 2; 1; -5; 4 |]);
+  (* Property: all three versions equal Kadane's reference on random
+     arrays — mixed signs, all negative and all positive — under a small
+     fixed block size so the monoid's [combine] runs across blocks. *)
+  let gen =
+    QCheck2.Gen.(
+      let size = int_bound 300 in
+      oneof
+        [
+          array_size size (int_range (-1000) 1000);
+          array_size size (int_range (-1000) (-1));
+          array_size size (int_range 1 1000);
+        ])
+  in
+  with_policy (Bds.Block.Fixed 16) (fun () ->
+      QCheck2.Test.check_exn
+        (QCheck2.Test.make ~name:"mcss versions = reference" ~count:300
+           ~print:QCheck2.Print.(array int)
+           gen
+           (fun a ->
+             let expect = K.Mcss.reference a in
+             K.Mcss.Array_version.mcss a = expect
+             && K.Mcss.Rad_version.mcss a = expect
+             && K.Mcss.Delay_version.mcss a = expect)))
 
 let test_mcss_floats () =
   List.iter

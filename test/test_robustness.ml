@@ -120,37 +120,50 @@ let test_cancellation_mid_block_push () =
      a fault stops a long fold *mid-block* — within one chunk of the
      poisoned element — even when the whole sequence is a single block
      (where block-boundary polling alone would run all 100k elements
-     before noticing).  One worker + one fixed block keeps the element
-     order deterministic. *)
+     before noticing).  The RAD [reduce] and [int_sum] loops read the
+     index function directly instead of folding a stream, and keep the
+     same cadence.  One worker + one fixed block keeps the element order
+     deterministic. *)
   Fun.protect
     ~finally:(fun () -> Runtime.set_num_domains Bds_test_util.domains)
     (fun () ->
       Runtime.set_num_domains 1;
       with_policy (Bds.Block.Fixed 100_000) (fun () ->
           let n = 100_000 in
-          let bid, _ = S.scan ( + ) 0 (S.iota n) in
-          let touches = ref 0 in
-          let poison i v =
-            incr touches;
-            if i = 1234 then (
-              match Bds_runtime.Cancel.ambient () with
-              | Some tok ->
-                Bds_runtime.Cancel.cancel_with tok (Kernel_bug 9)
-                  (Printexc.get_callstack 0)
-              | None -> Alcotest.fail "no ambient token in push fold");
-            v
+          let stops_mid_block label tag run =
+            let touches = ref 0 in
+            let poison i v =
+              incr touches;
+              if i = 1234 then (
+                match Bds_runtime.Cancel.ambient () with
+                | Some tok ->
+                  Bds_runtime.Cancel.cancel_with tok (Kernel_bug tag)
+                    (Printexc.get_callstack 0)
+                | None -> Alcotest.fail ("no ambient token in " ^ label));
+              v
+            in
+            Alcotest.check_raises
+              (label ^ ": recorded failure propagates")
+              (Kernel_bug tag)
+              (fun () -> run poison);
+            let touches = !touches in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: reached the cancel point (%d touches)" label
+                 touches)
+              true (touches > 1234);
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: stops within one poll chunk (%d touches <= 1300)"
+                 label touches)
+              true
+              (touches <= 1300)
           in
-          Alcotest.check_raises "recorded failure propagates" (Kernel_bug 9)
-            (fun () -> ignore (S.reduce ( + ) 0 (S.mapi poison bid)));
-          let touches = !touches in
-          Alcotest.(check bool)
-            (Printf.sprintf "reached the cancel point (%d touches)" touches)
-            true (touches > 1234);
-          Alcotest.(check bool)
-            (Printf.sprintf "stops within one poll chunk (%d touches <= 1300)"
-               touches)
-            true
-            (touches <= 1300)))
+          let bid, _ = S.scan ( + ) 0 (S.iota n) in
+          stops_mid_block "BID reduce" 9 (fun poison ->
+              ignore (S.reduce ( + ) 0 (S.mapi poison bid)));
+          stops_mid_block "RAD reduce" 12 (fun poison ->
+              ignore (S.reduce ( + ) 0 (S.tabulate n (fun i -> poison i i))));
+          stops_mid_block "RAD int_sum" 13 (fun poison ->
+              ignore (S.int_sum (S.tabulate n (fun i -> poison i i))))))
 
 let test_cancellation_mid_block_unboxed () =
   (* The float lane's monomorphic loops (Float_seq) share the push

@@ -414,6 +414,57 @@ let test_filter_cost () =
         (S.reduce ( + ) 0 kept);
       Alcotest.(check int) "p once per element over a scan" n (Atomic.get p_evals))
 
+let test_scan_zip_cost () =
+  (* Figure 11 cost of scan consumed once: phase 1 sums each block of
+     the input (a direct loop over a RAD's index function), phase 3
+     re-drives it, so the input function runs exactly 2n times.  A RAD
+     zipped with a scan output is read through its index function, on
+     either side of the zip: once per position. *)
+  with_policy (Bds.Block.Fixed 64) (fun () ->
+      let n = 10_000 in
+      let f_evals = Atomic.make 0 in
+      let f i =
+        Atomic.incr f_evals;
+        i mod 7
+      in
+      let xs = List.init n (fun i -> i mod 7) in
+      let prefixes, total = list_scan ( + ) 0 xs in
+      let scanned, t = S.scan ( + ) 0 (S.tabulate n f) in
+      Alcotest.(check int) "total" total t;
+      Alcotest.(check int) "sum" (List.fold_left ( + ) 0 prefixes)
+        (S.reduce ( + ) 0 scanned);
+      Alcotest.(check int) "scan: f exactly 2n times" (2 * n) (Atomic.get f_evals);
+      Atomic.set f_evals 0;
+      let incl = S.scan_incl ( + ) 0 (S.tabulate n f) in
+      Alcotest.(check int) "scan_incl sum"
+        (List.fold_left ( + ) 0 (List.tl prefixes) + total)
+        (S.reduce ( + ) 0 incl);
+      Alcotest.(check int) "scan_incl: f exactly 2n times" (2 * n)
+        (Atomic.get f_evals);
+      let g_evals = Atomic.make 0 in
+      let g i =
+        Atomic.incr g_evals;
+        3 * i
+      in
+      (* A fresh scan output per zip (a reused one would be memoised and
+         read as an array); consumed by [iteri], which folds every block. *)
+      let fresh_scan () = fst (S.scan ( + ) 0 (S.tabulate n (fun i -> i mod 7))) in
+      let to_array s =
+        let out = Array.make n 0 in
+        S.iteri (fun i v -> out.(i) <- v) s;
+        Array.to_list out
+      in
+      let model = List.mapi (fun i p -> p - (3 * i)) prefixes in
+      let right = S.zip_with ( - ) (fresh_scan ()) (S.tabulate n g) in
+      Alcotest.(check (list int)) "zip (scan, RAD)" model (to_array right);
+      Alcotest.(check int) "RAD right side: once per position" n
+        (Atomic.get g_evals);
+      Atomic.set g_evals 0;
+      let left = S.zip_with (fun a b -> b - a) (S.tabulate n g) (fresh_scan ()) in
+      Alcotest.(check (list int)) "zip (RAD, scan)" model (to_array left);
+      Alcotest.(check int) "RAD left side: once per position" n
+        (Atomic.get g_evals))
+
 let test_shared_forces () =
   (* Shared-consumer plan: a BID consumed by two independent consumers
      forces its memo exactly once (one shared_forces bump for the whole
@@ -542,6 +593,7 @@ let () =
           Alcotest.test_case "filter_op" `Quick test_filter_op;
           Alcotest.test_case "partition single pass" `Quick test_partition_single_pass;
           Alcotest.test_case "filter cost" `Quick test_filter_cost;
+          Alcotest.test_case "scan/zip cost" `Quick test_scan_zip_cost;
           Alcotest.test_case "shared forces" `Quick test_shared_forces;
           Alcotest.test_case "early-exit counts" `Quick test_early_exit_counts;
           Alcotest.test_case "early-exit parallel" `Quick test_early_exit_parallel;

@@ -49,6 +49,35 @@ let test_reduce () =
     (Invalid_argument "Stream.reduce1: empty stream") (fun () ->
       ignore (Stream.reduce1 ( + ) (Stream.tabulate 0 (fun _ -> 0))))
 
+let mk_trickle n =
+  Stream.make ~length:n ~start:(fun () ->
+      let i = ref (-1) in
+      fun () ->
+        incr i;
+        !i)
+
+let test_reduce1_order () =
+  (* [reduce1] is seeded from element 0 and combines left to right, with
+     [f] called n-1 times: on an indexed stream (direct loop over the
+     index function, across several 64-element chunks) and on a stream
+     without one (a scan's fold, and a [make] trickle). *)
+  let n = 200 in
+  let expect = List.init n Fun.id in
+  let calls = ref 0 in
+  let append acc x =
+    incr calls;
+    acc @ x
+  in
+  let check label s =
+    calls := 0;
+    check_ilist (label ^ ": left to right") expect (Stream.reduce1 append s);
+    Alcotest.(check int) (label ^ ": f called n-1 times") (n - 1) !calls
+  in
+  check "indexed" (Stream.tabulate n (fun i -> [ i ]));
+  check "scan" (Stream.scan_incl (fun _ x -> [ x ]) [] (Stream.tabulate n Fun.id));
+  check "trickle" (Stream.map (fun i -> [ i ]) (mk_trickle n));
+  check_ilist "single element" [ 7 ] (Stream.reduce1 append (Stream.tabulate 1 (fun _ -> [ 7 ])))
+
 let test_pack () =
   let s = Stream.tabulate 10 Fun.id in
   Alcotest.(check int_array) "pack evens" [| 0; 2; 4; 6; 8 |]
@@ -131,7 +160,26 @@ let test_iter_iteri () =
   check_ilist "iter order" [ 3; 2; 1; 0 ] !acc;
   let acc2 = ref [] in
   Stream.iteri (fun i v -> acc2 := (i + v) :: !acc2) (Stream.tabulate 3 (fun i -> 10 * i));
-  check_ilist "iteri" [ 22; 11; 0 ] !acc2
+  check_ilist "iteri" [ 22; 11; 0 ] !acc2;
+  (* [~base] offsets the index passed to [f] (and to [mapi]'s [g]), on
+     indexed and non-indexed streams alike. *)
+  let seen s =
+    let acc = ref [] in
+    Stream.iteri ~base:100 (fun i v -> acc := (i, v) :: !acc) s;
+    List.rev !acc
+  in
+  let expect = [ (100, 0); (101, 10); (102, 20) ] in
+  Alcotest.(check (list (pair int int))) "iteri ~base indexed" expect
+    (seen (Stream.tabulate 3 (fun i -> 10 * i)));
+  Alcotest.(check (list (pair int int))) "iteri ~base scan" expect
+    (seen (Stream.scan ( + ) 0 (Stream.tabulate 3 (fun _ -> 10))));
+  check_ilist "mapi ~base indexed" [ 100; 111; 122 ]
+    (Stream.to_list
+       (Stream.mapi ~base:100 (fun i v -> i + v) (Stream.tabulate 3 (fun i -> 10 * i))));
+  check_ilist "mapi ~base scan" [ 100; 111; 122 ]
+    (Stream.to_list
+       (Stream.mapi ~base:100 (fun i v -> i + v)
+          (Stream.scan ( + ) 0 (Stream.tabulate 3 (fun _ -> 10)))))
 
 let test_equal () =
   let mk () = Stream.tabulate 5 Fun.id in
@@ -162,13 +210,6 @@ let test_fold_stop () =
   Alcotest.(check int) "only prefix pushed" 5 !calls;
   let sl = Stream.of_array_slice [| 9; 1; 2; 3; 4 |] 1 4 in
   Alcotest.(check int) "slice stop 2" 3 (Stream.fold sl ~stop:2 ( + ) 0)
-
-let mk_trickle n =
-  Stream.make ~length:n ~start:(fun () ->
-      let i = ref (-1) in
-      fun () ->
-        incr i;
-        !i)
 
 let test_is_fused () =
   let base = Stream.tabulate 8 Fun.id in
@@ -490,6 +531,31 @@ let push_pull_tests =
         let stop = min stop (Stream.length (mk ())) in
         let prefix = List.filteri (fun i _ -> i < stop) (trickle_to_list (mk ())) in
         List.rev (Stream.fold (mk ()) ~stop (fun acc v -> v :: acc) []) = prefix);
+    Test.make ~name:"zip_with push = pull for indexed and non-indexed sides"
+      ~count:300
+      Gen.(
+        small_int_array >>= fun a ->
+        map2 (fun l r -> (a, l, r)) (int_bound 2) (int_bound 2))
+      (fun (a, l, r) ->
+        let n = Array.length a in
+        (* 0: indexed source; 1: scan (native fold, no index function);
+           2: [make] trickle. *)
+        let side kind k =
+          match kind with
+          | 0 -> Stream.map (fun x -> x + k) (Stream.of_array a)
+          | 1 -> Stream.scan ( + ) k (Stream.of_array a)
+          | _ -> Stream.map (fun i -> a.(i) + k) (mk_trickle n)
+        in
+        let model kind k =
+          match kind with
+          | 1 -> fst (list_scan ( + ) k (Array.to_list a))
+          | _ -> List.map (fun x -> x + k) (Array.to_list a)
+        in
+        let mk () = Stream.zip_with (fun x y -> (31 * x) - y) (side l 1) (side r 2) in
+        let expect = List.map2 (fun x y -> (31 * x) - y) (model l 1) (model r 2) in
+        trickle_to_list (mk ()) = expect
+        && Stream.to_list (mk ()) = expect
+        && Stream.reduce ( + ) 0 (mk ()) = List.fold_left ( + ) 0 expect);
     Test.make ~name:"masked_region pull = push for every (start_block, skip)"
       ~count:300
       Gen.(
@@ -567,6 +633,7 @@ let () =
           Alcotest.test_case "mapi" `Quick test_mapi;
           Alcotest.test_case "scans" `Quick test_scans;
           Alcotest.test_case "reduce" `Quick test_reduce;
+          Alcotest.test_case "reduce1 order" `Quick test_reduce1_order;
           Alcotest.test_case "pack" `Quick test_pack;
           Alcotest.test_case "take" `Quick test_take;
           Alcotest.test_case "of_array_slice" `Quick test_of_array_slice;
