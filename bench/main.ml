@@ -13,7 +13,6 @@ module Registry = Bds_harness.Registry
 module Tables = Bds_harness.Tables
 module Runtime = Bds_runtime.Runtime
 module Grain = Bds_runtime.Grain
-module Autotune = Bds_runtime.Autotune
 module Telemetry = Bds_runtime.Telemetry
 module Profile = Bds_runtime.Profile
 module S = Bds.Seq
@@ -29,17 +28,8 @@ type config = {
       (** substring filter on microbenchmark names (--micro-filter) *)
   csv : string option;
   plots : string option;  (** directory for SVG versions of the figures *)
-  sweep_grain : int list;
-      (** leaf-grain values to sweep the bestcut pipeline over (--sweep-grain) *)
   sweep_block : int list;
       (** fixed block sizes to sweep the bestcut pipeline over (--sweep-block) *)
-  adaptive : bool;
-      (** after the fixed-grain sweep, run the same pipeline under the
-          online self-tuning controller and report
-          adaptive_vs_best_fixed (--adaptive) *)
-  adapt_gate : float option;
-      (** exit non-zero if adaptive_vs_best_fixed falls below this
-          floor (--adapt-gate) *)
   profile : bool;
       (** run everything under the work/span profiler and append per-op
           rows to the CSV (--profile) *)
@@ -54,11 +44,6 @@ let csv_rows : (string * string * string * int * string * float) list ref = ref 
 
 let record ~section ~bench ~version ~procs ~metric value =
   csv_rows := (section, bench, version, procs, metric, value) :: !csv_rows
-
-(* A failed --adapt-gate check is deferred to the end of the run so the
-   CSV (and every other section's output) still lands before the
-   non-zero exit. *)
-let gate_failure : string option ref = ref None
 
 let write_csv path =
   let oc = open_out path in
@@ -580,18 +565,18 @@ let ablation cfg =
       ]
 
 (* ------------------------------------------------------------------ *)
-(* Granularity sweeps (--sweep-grain / --sweep-block): run the bestcut
-   delayed pipeline at each knob setting and report time plus scheduler
-   pressure, so a Figure 16-style curve can be drawn for either knob of
-   the unified granularity layer.  Rows also land in --csv under the
-   sections "sweep-grain" and "sweep-block". *)
+(* Block-size sweep (--sweep-block): run the bestcut delayed pipeline
+   at each fixed block size and report time plus scheduler pressure, so
+   a Figure 16-style curve can be drawn.  Rows also land in --csv under
+   the section "sweep-block". *)
 
 let sweeps cfg =
   let n = scaled cfg 2_000_000 in
   let a = K.Bestcut.generate n in
-  let run_point ~section ~version setup teardown =
-    setup ();
-    Fun.protect ~finally:teardown (fun () ->
+  let run_point bs =
+    let version = Printf.sprintf "B=%d" bs in
+    Bds.Block.set_policy (Bds.Block.Fixed bs);
+    Fun.protect ~finally:Bds.Block.reset_policy (fun () ->
         let m =
           Measure.time_counters ~repeat:cfg.repeat (fun () ->
               ignore (K.Bestcut.Delay_version.best_cut a))
@@ -603,102 +588,32 @@ let sweeps cfg =
         in
         let steals_per_s = per_s c.Telemetry.s_steals in
         let tasks_per_s = per_s c.Telemetry.s_tasks_spawned in
-        record ~section ~bench:"bestcut-delay" ~version ~procs:cfg.procs
-          ~metric:"time_s" m.Measure.best_s;
-        record ~section ~bench:"bestcut-delay" ~version ~procs:cfg.procs
-          ~metric:"steals_per_s" steals_per_s;
-        record ~section ~bench:"bestcut-delay" ~version ~procs:cfg.procs
-          ~metric:"tasks_per_s" tasks_per_s;
-        record ~section ~bench:"bestcut-delay" ~version ~procs:cfg.procs
-          ~metric:"counters_clamped" (if m.Measure.clamped then 1.0 else 0.0);
-        ( [
-            version;
-            Measure.pp_time m.Measure.best_s;
-            Printf.sprintf "%.3e" steals_per_s;
-            Printf.sprintf "%.3e" tasks_per_s;
-          ],
-          m.Measure.best_s ))
+        let record =
+          record ~section:"sweep-block" ~bench:"bestcut-delay" ~version
+            ~procs:cfg.procs
+        in
+        record ~metric:"time_s" m.Measure.best_s;
+        record ~metric:"steals_per_s" steals_per_s;
+        record ~metric:"tasks_per_s" tasks_per_s;
+        record ~metric:"counters_clamped"
+          (if m.Measure.clamped then 1.0 else 0.0);
+        [
+          version;
+          Measure.pp_time m.Measure.best_s;
+          Printf.sprintf "%.3e" steals_per_s;
+          Printf.sprintf "%.3e" tasks_per_s;
+        ])
   in
-  let headers = [ "setting"; "time"; "steals/s"; "tasks/s" ] in
   Measure.with_domains cfg.procs (fun () ->
-      if cfg.sweep_grain <> [] then begin
-        Printf.eprintf "  sweep: leaf grain...\n%!";
-        let points =
-          List.map
-            (fun g ->
-              run_point ~section:"sweep-grain"
-                ~version:(Printf.sprintf "grain=%d" g)
-                (fun () -> Grain.set_leaf_grain (Some g))
-                (fun () -> Grain.set_leaf_grain None))
-            cfg.sweep_grain
-        in
-        let rows = List.map fst points in
-        let rows =
-          if not cfg.adaptive then rows
-          else begin
-            (* The headline measurement of the self-tuning controller:
-               the same pipeline, no fixed grain, controller live.  A
-               warm-up phase lets it converge (decisions are memoized
-               per op/size/worker key), then the timed runs measure the
-               converged grains plus the residual probe overhead.  The
-               ratio best-fixed/adaptive lands in the CSV; ~1.0 means
-               the controller found the sweep optimum on its own. *)
-            Printf.eprintf "  sweep: adaptive controller...\n%!";
-            let row, t_adapt =
-              run_point ~section:"sweep-grain" ~version:"adaptive"
-                (fun () ->
-                  Grain.set_adaptive true;
-                  Autotune.reset ();
-                  for _ = 1 to 40 do
-                    ignore
-                      (Sys.opaque_identity (K.Bestcut.Delay_version.best_cut a))
-                  done)
-                (fun () -> Grain.set_adaptive false)
-            in
-            let t_best =
-              List.fold_left (fun m (_, t) -> min m t) infinity points
-            in
-            let ratio = if t_adapt > 0.0 then t_best /. t_adapt else 0.0 in
-            record ~section:"sweep-grain" ~bench:"bestcut-delay"
-              ~version:"adaptive" ~procs:cfg.procs
-              ~metric:"adaptive_vs_best_fixed" ratio;
-            Printf.eprintf "  adaptive_vs_best_fixed = %.3f\n%!" ratio;
-            (match cfg.adapt_gate with
-            | Some floor when ratio < floor ->
-              gate_failure :=
-                Some
-                  (Printf.sprintf
-                     "FAIL: adaptive_vs_best_fixed %.3f below gate %.3f"
-                     ratio floor)
-            | _ -> ());
-            rows @ [ row ]
-          end
-        in
-        Tables.print
-          ~title:
-            (Printf.sprintf "Sweep: leaf grain (BDS_GRAIN) on bestcut/delay (n=%d, P=%d)"
-               n cfg.procs)
-          ~headers ~rows
-      end;
-      if cfg.sweep_block <> [] then begin
-        Printf.eprintf "  sweep: block size...\n%!";
-        let rows =
-          List.map
-            (fun bs ->
-              fst
-                (run_point ~section:"sweep-block"
-                   ~version:(Printf.sprintf "B=%d" bs)
-                   (fun () -> Bds.Block.set_policy (Bds.Block.Fixed bs))
-                   (fun () -> Bds.Block.reset_policy ())))
-            cfg.sweep_block
-        in
-        Tables.print
-          ~title:
-            (Printf.sprintf
-               "Sweep: block size (BDS_BLOCK_SIZE) on bestcut/delay (n=%d, P=%d)"
-               n cfg.procs)
-          ~headers ~rows
-      end)
+      Printf.eprintf "  sweep: block size...\n%!";
+      let rows = List.map run_point cfg.sweep_block in
+      Tables.print
+        ~title:
+          (Printf.sprintf
+             "Sweep: block size (BDS_BLOCK_SIZE) on bestcut/delay (n=%d, P=%d)"
+             n cfg.procs)
+        ~headers:[ "setting"; "time"; "steals/s"; "tasks/s" ]
+        ~rows)
 
 (* ------------------------------------------------------------------ *)
 (* Stream execution: fused push fold vs trickle pull (--only
@@ -1001,11 +916,6 @@ let service_bench cfg =
   let module Service = Bds_service.Service in
   let module Job = Bds_service.Job in
   let module Histogram = Bds_runtime.Histogram in
-  (* The service path runs with the adaptive controller live: a
-     long-running multi-tenant server is exactly the workload that
-     cannot be hand-tuned per request shape, so the load generator
-     doubles as the controller's always-on soak test. *)
-  Grain.set_adaptive true;
   let total = scaled cfg 400 in
   let rate = 2000.0 (* jobs/s offered *) in
   let config =
@@ -1327,7 +1237,7 @@ let run_sections cfg =
   if enabled cfg "stream-overhead" then stream_overhead cfg;
   if enabled cfg "float-kernels" then float_kernels cfg;
   if enabled cfg "int-kernels" then int_kernels cfg;
-  if cfg.sweep_grain <> [] || cfg.sweep_block <> [] then sweeps cfg;
+  if cfg.sweep_block <> [] then sweeps cfg;
   if enabled cfg "micro" then micro cfg;
   if cfg.profile then profile_report cfg;
   Option.iter write_csv cfg.csv;
@@ -1341,12 +1251,7 @@ let run cfg =
     service_bench cfg;
     Option.iter write_csv cfg.csv
   end
-  else run_sections cfg;
-  match !gate_failure with
-  | Some msg ->
-    prerr_endline msg;
-    exit 1
-  | None -> ()
+  else run_sections cfg
 
 (* ------------------------------------------------------------------ *)
 (* CLI                                                                 *)
@@ -1385,14 +1290,6 @@ let plots_arg =
   Arg.(value & opt (some string) None
        & info [ "plots" ] ~doc:"Also write SVG versions of the plotted figures to this directory.")
 
-let sweep_grain_arg =
-  Arg.(value & opt (list int) []
-       & info [ "sweep-grain" ]
-           ~doc:"Leaf-grain values (comma-separated) to sweep the bestcut \
-                 delayed pipeline over via the unified granularity layer \
-                 (equivalent to BDS_GRAIN).  Emits time, steals/s and \
-                 tasks/s per point; rows land in --csv under sweep-grain.")
-
 let sweep_block_arg =
   Arg.(value & opt (list int) []
        & info [ "sweep-block" ]
@@ -1400,21 +1297,6 @@ let sweep_block_arg =
                  delayed pipeline over (equivalent to BDS_BLOCK_SIZE).  \
                  Emits time, steals/s and tasks/s per point; rows land in \
                  --csv under sweep-block.")
-
-let adaptive_arg =
-  Arg.(value & flag
-       & info [ "adaptive" ]
-           ~doc:"After the --sweep-grain fixed points, run the bestcut \
-                 pipeline once more under the online self-tuning \
-                 controller (BDS_ADAPT) and record the ratio \
-                 best-fixed/adaptive as adaptive_vs_best_fixed in the \
-                 sweep-grain section.")
-
-let adapt_gate_arg =
-  Arg.(value & opt (some float) None
-       & info [ "adapt-gate" ]
-           ~doc:"Exit non-zero if adaptive_vs_best_fixed falls below \
-                 this floor (requires --adaptive).")
 
 let profile_arg =
   Arg.(value & flag
@@ -1434,7 +1316,7 @@ let service_arg =
                  --procs the runner count.")
 
 let main scale quick procs proc_list repeat sections micro_filter csv plots
-    sweep_grain sweep_block adaptive adapt_gate profile service =
+    sweep_block profile service =
   let cfg =
     {
       scale = (if quick then scale /. 10.0 else scale);
@@ -1445,10 +1327,7 @@ let main scale quick procs proc_list repeat sections micro_filter csv plots
       micro_filter;
       csv;
       plots;
-      sweep_grain;
       sweep_block;
-      adaptive;
-      adapt_gate;
       profile;
       service;
     }
@@ -1464,8 +1343,7 @@ let cmd =
     (Cmd.info "bds-bench" ~doc:"Regenerate the paper's tables and figures")
     Term.(
       const main $ scale_arg $ quick_arg $ procs_arg $ proc_list_arg $ repeat_arg
-      $ only_arg $ micro_filter_arg $ csv_arg $ plots_arg $ sweep_grain_arg
-      $ sweep_block_arg $ adaptive_arg $ adapt_gate_arg $ profile_arg
-      $ service_arg)
+      $ only_arg $ micro_filter_arg $ csv_arg $ plots_arg $ sweep_block_arg
+      $ profile_arg $ service_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -5,10 +5,9 @@
    tens of percent between runs, so the gate judges *within-run ratios*
    by default: the push-vs-pull speedup of the stream-overhead chain,
    the fused-vs-materialized speedup of the Seq filter/flatten chains,
-   the unboxed-vs-boxed speedup of every float-kernels bench, and the
-   adaptive-vs-best-fixed ratio of the grain sweep — each divides two
-   times measured seconds apart on the same machine, which is stable
-   (see the snapshots' host_note).  A section is gated when it is
+   and the unboxed-vs-boxed speedup of every float-kernels bench — each
+   divides two times measured seconds apart on the same machine, which
+   is stable (see the snapshots' host_note).  A section is gated when it is
    present in the baseline's "results" (so older BENCH_4-shaped
    baselines still work); a baseline with no known section is a usage
    error, never a silent pass.  Absolute times are compared only under
@@ -256,51 +255,16 @@ let build_checks ~absolute json rows =
       Ok (List.rev checks)
     | Some _ -> Error "baseline: results.float-kernels is not an object"
   in
-  (* sweep-grain: gate the adaptive controller against the best fixed
-     grain of the same sweep (present since BENCH_9).  The ratio is
-     computed by the harness itself (best-fixed time / adaptive time,
-     both from one process), so it is read straight from the CSV. *)
-  let adaptive_checks () =
-    let path_ = [ "results"; "sweep-grain/bestcut-delay" ] in
-    match J.path path_ json with
-    | None -> Ok []
-    | Some _ ->
-      let* base =
-        baseline_float json (path_ @ [ "adaptive_vs_best_fixed" ])
-      in
-      let* cur =
-        match
-          find rows ~section:"sweep-grain" ~bench:"bestcut-delay"
-            ~version:"adaptive" ~metric:"adaptive_vs_best_fixed"
-        with
-        | Some v -> Ok v
-        | None ->
-          Error
-            "csv: no sweep-grain adaptive_vs_best_fixed row (run bench with \
-             --sweep-grain ... --adaptive)"
-      in
-      Ok
-        [
-          {
-            name = "sweep-grain adaptive-vs-best-fixed ratio";
-            dir = Higher_better;
-            baseline = base;
-            current = cur;
-          };
-        ]
-  in
   let* sc = stream_checks () in
   let* filter_c = chain_checks "filter-chain" in
   let* flatten_c = chain_checks "flatten-chain" in
   let* fc = float_checks () in
-  let* ac = adaptive_checks () in
-  match sc @ filter_c @ flatten_c @ fc @ ac with
+  match sc @ filter_c @ flatten_c @ fc with
   | [] ->
     Error
       "baseline: results contains no known gated section \
        (stream-overhead/chain3, stream-overhead/filter-chain, \
-       stream-overhead/flatten-chain, float-kernels or \
-       sweep-grain/bestcut-delay)"
+       stream-overhead/flatten-chain or float-kernels)"
   | checks -> Ok checks
 
 (* ------------------------------------------------------------------ *)

@@ -188,8 +188,8 @@ let fresh_bid ~b_len ~b_size plan =
    blocks of [bsize], polling the cancellation token every 64 elements
    (the stream loops' cadence); a BID drives each block stream through
    [Stream.reduce1] on its own grid, which the caller passes as
-   [bsize].  The caller picks [bsize] once: [Block.size] may answer
-   differently on the next call (an adaptive probe), and a scan's
+   [bsize].  The caller picks [bsize] once: a [Block.set_policy] between
+   a scan's phases changes what [Block.size] answers, and the scan's
    delayed phase 3 must use the grid its sums were taken on. *)
 let block_sums f ~bsize = function
   | Rad { r_len; get } ->

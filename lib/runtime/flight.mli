@@ -1,11 +1,11 @@
 (** Always-on flight recorder: a fixed-size ring of periodic runtime
     snapshots, dumped as JSON when something goes wrong.
 
-    Each {!record} captures the cumulative {!Telemetry} counters, the
-    {!Autotune} decision-table summary, a reason tag and any extra
-    caller-supplied gauges, into a ring that overwrites its oldest
-    snapshot when full — so memory is bounded no matter how long the
-    process runs, and a dump always holds the {e most recent} window.
+    Each {!record} captures the cumulative {!Telemetry} counters, a
+    reason tag and any extra caller-supplied gauges, into a ring that
+    overwrites its oldest snapshot when full — so memory is bounded no
+    matter how long the process runs, and a dump always holds the
+    {e most recent} window.
 
     The module is passive: it owns no thread and installs no handlers.
     The server samples it on an interval and dumps on SIGQUIT, on pool
@@ -40,9 +40,6 @@ type snap = {
   f_uptime_ns : int;
   f_reason : string;
   f_counters : (string * int) list;  (** [Telemetry.to_assoc] order *)
-  f_adapt_entries : int;
-  f_adapt_obs : int;
-  f_adapt_adjustments : int;
   f_extra : (string * float) list;
 }
 
@@ -58,7 +55,7 @@ val dump_file : t -> string -> unit
     a crash never leaves a truncated file behind. *)
 
 val validate : string -> (int, string) result
-(** Check a dump: JSON shape, [schema_version] 1, snapshot count within
+(** Check a dump: JSON shape, [schema_version] 2, snapshot count within
     capacity/recorded bounds, strictly consecutive [seq], non-decreasing
     [uptime_ns], and monotone cumulative counters.  [Ok n] is the number
     of retained snapshots. *)

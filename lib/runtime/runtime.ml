@@ -146,31 +146,8 @@ let auto_grain n = Grain.leaf_grain ~workers:(num_workers ()) n
 
 (* The block grid the block-based layers (Parray, Rad, Seq) use for an
    [n]-element input: the worker count is supplied here so Grain stays a
-   pure policy module.  With adaptation on, the controller's per-(op,
-   size, workers) block size wins over the static policy (but never over
-   an explicit policy — [Autotune.block_size] defers then). *)
-let block_grid n =
-  let workers = num_workers () in
-  match Autotune.block_size ~workers n with
-  | Some bs ->
-    { Grain.n; block_size = bs; num_blocks = Grain.num_blocks ~block_size:bs n }
-  | None -> Grain.grid ~workers n
-
-(* Adaptive prologue/epilogue for an auto-grained element loop: consult
-   the controller only when the caller left the grain to us (an explicit
-   [?grain] — like an explicit BDS_GRAIN — always wins and is never even
-   observed), and report the region's leaf stats back at the join.  The
-   epilogue runs inside [with_region]'s success path only: failed or
-   cancelled regions teach the controller nothing. *)
-let tune_decision grain n =
-  match grain with
-  | Some _ -> None
-  | None -> Autotune.leaf_decision ~n ~workers:(num_workers ())
-
-let tune_observe tune prof =
-  match tune with
-  | Some (_, o) -> Autotune.obs_end o (Profile.region_stats prof)
-  | None -> ()
+   pure policy module. *)
+let block_grid n = Grain.grid ~workers:(num_workers ()) n
 
 let parallel_for ?grain lo hi (body : int -> unit) =
   let n = hi - lo in
@@ -178,12 +155,8 @@ let parallel_for ?grain lo hi (body : int -> unit) =
   else begin
     let pool = get_pool () in
     let tok = scope_token () in
-    let tune = tune_decision grain n in
     let grain =
-      match (grain, tune) with
-      | Some g, _ -> max 1 g
-      | None, Some (g, _) -> max 1 g
-      | None, None -> max 1 (auto_grain n)
+      match grain with Some g -> max 1 g | None -> max 1 (auto_grain n)
     in
     Profile.with_region (fun prof ->
         let rec go lo hi =
@@ -197,8 +170,7 @@ let parallel_for ?grain lo hi (body : int -> unit) =
           end
         in
         Trace.with_span ~lo ~hi "parallel_for" (fun () ->
-            Pool.run pool (fun () -> scoped tok (fun () -> go lo hi)));
-        tune_observe tune prof)
+            Pool.run pool (fun () -> scoped tok (fun () -> go lo hi))))
   end
 
 (* The paper's [apply : int -> (int -> unit) -> unit]. *)
@@ -217,18 +189,6 @@ let apply_blocks ?bounds ~nb (body : int -> unit) =
   else begin
     let pool = get_pool () in
     let tok = scope_token () in
-    (* Block bodies are this region's leaves; their size was fixed when
-       the block grid was built ([Block.size] / [block_grid], possibly
-       by the controller), so this is observation only: the element
-       count comes from the last block's upper bound. *)
-    let obs =
-      if not (Autotune.enabled ()) then None
-      else begin
-        let n = match bounds with Some f -> snd (f (nb - 1)) | None -> nb in
-        Autotune.region_enter ~n ~used:((n + nb - 1) / nb)
-          ~workers:(num_workers ())
-      end
-    in
     Profile.with_region (fun prof ->
         let leaf j =
           Telemetry.incr_chunks_executed ();
@@ -264,10 +224,7 @@ let apply_blocks ?bounds ~nb (body : int -> unit) =
           end
         in
         Trace.with_span ~lo:0 ~hi:nb "apply_blocks" (fun () ->
-            Pool.run pool (fun () -> scoped tok (fun () -> go 0 nb)));
-        match obs with
-        | Some o -> Autotune.obs_end o (Profile.region_stats prof)
-        | None -> ())
+            Pool.run pool (fun () -> scoped tok (fun () -> go 0 nb))))
   end
 
 (* Lazy binary splitting (Tzannes, Caragea, Barua & Vishkin, PPoPP 2010):
@@ -311,12 +268,8 @@ let parallel_for_reduce ?grain lo hi ~combine ~init (body : int -> 'a) =
   else begin
     let pool = get_pool () in
     let tok = scope_token () in
-    let tune = tune_decision grain n in
     let grain =
-      match (grain, tune) with
-      | Some g, _ -> max 1 g
-      | None, Some (g, _) -> max 1 g
-      | None, None -> max 1 (auto_grain n)
+      match grain with Some g -> max 1 g | None -> max 1 (auto_grain n)
     in
     (* [go lo hi] folds the non-empty range seeded from its first element,
        so [init] is combined exactly once at the top: correct for any
@@ -358,11 +311,7 @@ let parallel_for_reduce ?grain lo hi ~combine ~init (body : int -> 'a) =
             combine a b
           end
         in
-        let r =
-          Trace.with_span ~lo ~hi "parallel_for_reduce" (fun () ->
-              Pool.run pool (fun () ->
-                  scoped tok (fun () -> combine init (go lo hi))))
-        in
-        tune_observe tune prof;
-        r)
+        Trace.with_span ~lo ~hi "parallel_for_reduce" (fun () ->
+            Pool.run pool (fun () ->
+                scoped tok (fun () -> combine init (go lo hi)))))
   end

@@ -48,15 +48,12 @@ type counters = {
   mutable jobs_retried : int;
   mutable jobs_shed : int;
   mutable jobs_retries_shed : int;
-  (* Adaptive-granularity controller ([Autotune]): grain adjustments
-     committed (hysteresis moves and adopted probes) and probe regions
-     run at a non-incumbent grain. *)
-  mutable adapt_adjustments : int;
-  mutable adapt_probes : int;
-  (* Padding out to three cache lines (the 23 counters above plus this
-     pad are 192 bytes of payload): adjacent domains' records can never
+  (* Padding out to three cache lines (the 21 counters above plus these
+     pads are 192 bytes of payload): adjacent domains' records can never
      share a line even when the allocator places them back to back. *)
   mutable pad0 : int;
+  mutable pad1 : int;
+  mutable pad2 : int;
 }
 
 type snapshot = {
@@ -81,8 +78,6 @@ type snapshot = {
   s_jobs_retried : int;
   s_jobs_shed : int;
   s_jobs_retries_shed : int;
-  s_adapt_adjustments : int;
-  s_adapt_probes : int;
 }
 
 let registry_mutex = Mutex.create ()
@@ -123,9 +118,9 @@ let fresh_counters () =
     jobs_retried = 0;
     jobs_shed = 0;
     jobs_retries_shed = 0;
-    adapt_adjustments = 0;
-    adapt_probes = 0;
     pad0 = 0;
+    pad1 = 0;
+    pad2 = 0;
   }
 
 let key : counters Domain.DLS.key =
@@ -222,14 +217,6 @@ let[@inline] incr_jobs_retries_shed () =
   let c = local () in
   c.jobs_retries_shed <- c.jobs_retries_shed + 1
 
-let[@inline] incr_adapt_adjustments () =
-  let c = local () in
-  c.adapt_adjustments <- c.adapt_adjustments + 1
-
-let[@inline] incr_adapt_probes () =
-  let c = local () in
-  c.adapt_probes <- c.adapt_probes + 1
-
 let zero =
   {
     s_tasks_spawned = 0;
@@ -253,8 +240,6 @@ let zero =
     s_jobs_retried = 0;
     s_jobs_shed = 0;
     s_jobs_retries_shed = 0;
-    s_adapt_adjustments = 0;
-    s_adapt_probes = 0;
   }
 
 let snapshot () =
@@ -287,8 +272,6 @@ let snapshot () =
         s_jobs_retried = acc.s_jobs_retried + c.jobs_retried;
         s_jobs_shed = acc.s_jobs_shed + c.jobs_shed;
         s_jobs_retries_shed = acc.s_jobs_retries_shed + c.jobs_retries_shed;
-        s_adapt_adjustments = acc.s_adapt_adjustments + c.adapt_adjustments;
-        s_adapt_probes = acc.s_adapt_probes + c.adapt_probes;
       })
     zero records
 
@@ -331,9 +314,6 @@ let diff_checked ~before ~after =
       s_jobs_retried = d after.s_jobs_retried before.s_jobs_retried;
       s_jobs_shed = d after.s_jobs_shed before.s_jobs_shed;
       s_jobs_retries_shed = d after.s_jobs_retries_shed before.s_jobs_retries_shed;
-      s_adapt_adjustments =
-        d after.s_adapt_adjustments before.s_adapt_adjustments;
-      s_adapt_probes = d after.s_adapt_probes before.s_adapt_probes;
     }
   in
   (s, !clamped)
@@ -363,8 +343,6 @@ let to_assoc s =
     ("jobs_retried", s.s_jobs_retried);
     ("jobs_shed", s.s_jobs_shed);
     ("jobs_retries_shed", s.s_jobs_retries_shed);
-    ("adapt_adjustments", s.s_adapt_adjustments);
-    ("adapt_probes", s.s_adapt_probes);
   ]
 
 let pp s =

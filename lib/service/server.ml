@@ -117,7 +117,7 @@ let stats_json t =
     |> String.concat ","
   in
   Printf.sprintf
-    "{\"schema_version\":2,\"uptime_ns\":%d,\"workers\":%d,\"queue_depth\":%d,\"outstanding\":%d,\"breaker\":%S,\"jobs\":{%s}}"
+    "{\"schema_version\":3,\"uptime_ns\":%d,\"workers\":%d,\"queue_depth\":%d,\"outstanding\":%d,\"breaker\":%S,\"jobs\":{%s}}"
     (Telemetry.uptime_ns ()) s.Service.sm_workers s.Service.sm_queue_depth
     s.Service.sm_outstanding s.Service.sm_breaker jobs
 

@@ -47,7 +47,7 @@ val request_flight_dump : t -> unit
     the SIGQUIT handler's body in [bds_serve]. *)
 
 val stats_json : t -> string
-(** The [STATS] payload: one-line JSON with [schema_version] (2),
+(** The [STATS] payload: one-line JSON with [schema_version] (3),
     monotonic [uptime_ns], the {!Service.summary} fields and the
     [jobs_*] telemetry counters. *)
 

@@ -195,6 +195,20 @@ let test_flight_guards () =
   Flight.record t ~reason:"a";
   Flight.record t ~reason:"b";
   let dump = Flight.dump_json t in
+  (* Version 1 dumps carried an "adapt" object; they are refused. *)
+  let v2 = {|{"schema_version":2,|} in
+  Alcotest.(check bool)
+    "dump is version 2" true
+    (String.starts_with ~prefix:v2 dump);
+  let rest =
+    String.sub dump (String.length v2) (String.length dump - String.length v2)
+  in
+  (match Flight.validate ({|{"schema_version":1,|} ^ rest) with
+  | Ok _ -> Alcotest.fail "schema_version 1 accepted"
+  | Error e ->
+    Alcotest.(check bool)
+      (Printf.sprintf "error names the version (%s)" e)
+      true (contains e "schema_version"));
   let tampered =
     (* replace the second snapshot's "seq":2 with "seq":7 *)
     let b = Buffer.create (String.length dump) in

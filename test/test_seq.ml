@@ -181,6 +181,43 @@ let test_policy_change_mid_life () =
         (fst (list_scan ( + ) 0 evens))
         (slist b))
 
+let test_scan_one_grid () =
+  (* A scan takes its block sums on one grid and its delayed phase 3
+     must replay that same grid, even when the policy changes between
+     building the scan and consuming it. *)
+  let n = 10_007 in
+  let f i = (i * 7) mod 13 in
+  let excl, total, incl =
+    with_policy (Bds.Block.Fixed 1000) (fun () ->
+        let s = S.tabulate n f in
+        let excl, total = S.scan ( + ) 0 s in
+        (excl, total, S.scan_incl ( + ) 0 s))
+  in
+  let expect_excl = Array.make n 0 and expect_incl = Array.make n 0 in
+  let acc = ref 0 in
+  for i = 0 to n - 1 do
+    expect_excl.(i) <- !acc;
+    acc := !acc + f i;
+    expect_incl.(i) <- !acc
+  done;
+  let sum a = Array.fold_left ( + ) 0 a in
+  with_policy (Bds.Block.Fixed 333) (fun () ->
+      Alcotest.(check int) "scan total" !acc total;
+      Alcotest.(check int_array) "scan to_array" expect_excl (S.to_array excl);
+      Alcotest.(check int_array) "scan_incl to_array" expect_incl
+        (S.to_array incl);
+      Alcotest.(check int) "scan reduce" (sum expect_excl)
+        (S.reduce ( + ) 0 excl);
+      Alcotest.(check int) "scan_incl reduce" (sum expect_incl)
+        (S.reduce ( + ) 0 incl);
+      let rad = S.tabulate n Fun.id in
+      Alcotest.(check int_array) "scan zip_with RAD"
+        (Array.mapi (fun i p -> p - i) expect_excl)
+        (S.to_array (S.zip_with ( - ) excl rad));
+      Alcotest.(check int_array) "scan_incl zip_with RAD"
+        (Array.mapi (fun i p -> p - i) expect_incl)
+        (S.to_array (S.zip_with ( - ) incl rad)))
+
 let test_zip_mixed_block_sizes () =
   (* BIDs created under different policies must still zip correctly. *)
   let mk policy =
@@ -585,6 +622,7 @@ let () =
           Alcotest.test_case "random access" `Quick test_random_access;
           Alcotest.test_case "zip mixed block sizes" `Quick test_zip_mixed_block_sizes;
           Alcotest.test_case "policy change mid-life" `Quick test_policy_change_mid_life;
+          Alcotest.test_case "scan keeps one block grid" `Quick test_scan_one_grid;
           Alcotest.test_case "edge cases" `Quick test_edge_cases;
           Alcotest.test_case "iteration" `Quick test_iteration;
           Alcotest.test_case "derived ops" `Quick test_derived;

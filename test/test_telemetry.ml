@@ -59,8 +59,7 @@ let test_assoc_order () =
       "fused_folds"; "trickle_fallbacks"; "float_fast_path";
       "float_boxed_fallback"; "shared_forces"; "jobs_admitted"; "jobs_completed";
       "jobs_cancelled"; "jobs_deadline_exceeded"; "jobs_failed";
-      "jobs_retried"; "jobs_shed"; "jobs_retries_shed"; "adapt_adjustments";
-      "adapt_probes";
+      "jobs_retried"; "jobs_shed"; "jobs_retries_shed";
     ]
     keys;
   let s = Telemetry.pp (snap ()) in
