@@ -122,6 +122,14 @@ let run_bench cfg (b : Registry.bench) =
   let times_p1 = List.map (fun (v, m) -> (v, m.Measure.best_s)) (times 1) in
   let sched_pn = times cfg.procs in
   let times_pn = List.map (fun (v, m) -> (v, m.Measure.best_s)) sched_pn in
+  (* Time at P=1 over time at P=max: a kernel that stops scaling reads
+     ~1.0 here while its neighbours read near P. *)
+  List.iter2
+    (fun (vname, t1) (_, tn) ->
+      record ~section ~bench:b.name ~version:vname ~procs:cfg.procs
+        ~metric:"speedup_vs_p1"
+        (if tn > 0.0 then t1 /. tn else 0.0))
+    times_p1 times_pn;
   List.iter
     (fun (vname, (m : Measure.timed)) ->
       let c = m.Measure.counters in
@@ -202,10 +210,13 @@ let print_fig13 results =
       r.bench.Registry.name;
       Measure.pp_time a1; Measure.pp_time r1; Measure.pp_time d1; Tables.ratio r1 d1;
       Measure.pp_time an; Measure.pp_time rn; Measure.pp_time dn; Tables.ratio rn dn;
+      Tables.ratio d1 dn;
     ]
   in
   Tables.print ~title:"Figure 13 (time): BID benchmarks — A | R | Ours, P=1 then P=max"
-    ~headers:[ "bench"; "A(1)"; "R(1)"; "Ours(1)"; "R/Ours"; "A(P)"; "R(P)"; "Ours(P)"; "R/Ours" ]
+    ~headers:
+      [ "bench"; "A(1)"; "R(1)"; "Ours(1)"; "R/Ours"; "A(P)"; "R(P)"; "Ours(P)"; "R/Ours";
+        "Ours(1)/Ours(P)" ]
     ~rows:(List.map time_row results);
   let space_row r =
     let a = get "array" r.allocs and rr = get "rad" r.allocs and d = get "delay" r.allocs in
@@ -229,10 +240,12 @@ let print_fig14 results =
       r.bench.Registry.name;
       Measure.pp_time a1; Measure.pp_time d1; Tables.ratio a1 d1;
       Measure.pp_time an; Measure.pp_time dn; Tables.ratio an dn;
+      Tables.ratio d1 dn;
     ]
   in
   Tables.print ~title:"Figure 14 (time): RAD benchmarks — A | Ours, P=1 then P=max"
-    ~headers:[ "bench"; "A(1)"; "Ours(1)"; "A/Ours"; "A(P)"; "Ours(P)"; "A/Ours" ]
+    ~headers:
+      [ "bench"; "A(1)"; "Ours(1)"; "A/Ours"; "A(P)"; "Ours(P)"; "A/Ours"; "Ours(1)/Ours(P)" ]
     ~rows:(List.map time_row results);
   let space_row r =
     let a = get "array" r.allocs and d = get "delay" r.allocs in
@@ -565,22 +578,26 @@ let ablation cfg =
       ]
 
 (* ------------------------------------------------------------------ *)
-(* Block-size sweep (--sweep-block): run the bestcut delayed pipeline
-   at each fixed block size and report time plus scheduler pressure, so
-   a Figure 16-style curve can be drawn.  Rows also land in --csv under
-   the section "sweep-block". *)
+(* Block-size sweep (--sweep-block): run the bestcut and tokens delayed
+   pipelines at each fixed block size and report time plus scheduler
+   pressure, so a Figure 16-style curve can be drawn.  Rows also land in
+   --csv under the section "sweep-block". *)
 
 let sweeps cfg =
-  let n = scaled cfg 2_000_000 in
-  let a = K.Bestcut.generate n in
-  let run_point bs =
+  let tokens = List.find (fun b -> b.Registry.name = "tokens") Registry.all in
+  let n_bc = scaled cfg 2_000_000 and n_tok = scaled cfg tokens.default_size in
+  let a = K.Bestcut.generate n_bc and text = K.Tokens.generate n_tok in
+  let pipelines =
+    [
+      ("bestcut-delay", n_bc, fun () -> ignore (K.Bestcut.Delay_version.best_cut a));
+      ("tokens-delay", n_tok, fun () -> ignore (K.Tokens.Delay_version.tokens text));
+    ]
+  in
+  let run_point bench run bs =
     let version = Printf.sprintf "B=%d" bs in
     Bds.Block.set_policy (Bds.Block.Fixed bs);
     Fun.protect ~finally:Bds.Block.reset_policy (fun () ->
-        let m =
-          Measure.time_counters ~repeat:cfg.repeat (fun () ->
-              ignore (K.Bestcut.Delay_version.best_cut a))
-        in
+        let m = Measure.time_counters ~repeat:cfg.repeat run in
         let c = m.Measure.counters in
         let per_s count =
           if m.Measure.best_s > 0.0 then float_of_int count /. m.Measure.best_s
@@ -589,8 +606,7 @@ let sweeps cfg =
         let steals_per_s = per_s c.Telemetry.s_steals in
         let tasks_per_s = per_s c.Telemetry.s_tasks_spawned in
         let record =
-          record ~section:"sweep-block" ~bench:"bestcut-delay" ~version
-            ~procs:cfg.procs
+          record ~section:"sweep-block" ~bench ~version ~procs:cfg.procs
         in
         record ~metric:"time_s" m.Measure.best_s;
         record ~metric:"steals_per_s" steals_per_s;
@@ -605,15 +621,18 @@ let sweeps cfg =
         ])
   in
   Measure.with_domains cfg.procs (fun () ->
-      Printf.eprintf "  sweep: block size...\n%!";
-      let rows = List.map run_point cfg.sweep_block in
-      Tables.print
-        ~title:
-          (Printf.sprintf
-             "Sweep: block size (BDS_BLOCK_SIZE) on bestcut/delay (n=%d, P=%d)"
-             n cfg.procs)
-        ~headers:[ "setting"; "time"; "steals/s"; "tasks/s" ]
-        ~rows)
+      List.iter
+        (fun (bench, n, run) ->
+          Printf.eprintf "  sweep: block size, %s...\n%!" bench;
+          let rows = List.map (run_point bench run) cfg.sweep_block in
+          Tables.print
+            ~title:
+              (Printf.sprintf
+                 "Sweep: block size (BDS_BLOCK_SIZE) on %s (n=%d, P=%d)" bench n
+                 cfg.procs)
+            ~headers:[ "setting"; "time"; "steals/s"; "tasks/s" ]
+            ~rows)
+        pipelines)
 
 (* ------------------------------------------------------------------ *)
 (* Stream execution: fused push fold vs trickle pull (--only
@@ -1294,7 +1313,8 @@ let sweep_block_arg =
   Arg.(value & opt (list int) []
        & info [ "sweep-block" ]
            ~doc:"Fixed block sizes (comma-separated) to sweep the bestcut \
-                 delayed pipeline over (equivalent to BDS_BLOCK_SIZE).  \
+                 and tokens delayed pipelines over (equivalent to \
+                 BDS_BLOCK_SIZE).  \
                  Emits time, steals/s and tasks/s per point; rows land in \
                  --csv under sweep-block.")
 

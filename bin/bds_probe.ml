@@ -93,7 +93,9 @@ let blocks () =
    asserts ZERO trickle fallbacks on every pipeline below.  The
    shared-consumer scenario consumes one BID twice and reports the
    shared_forces counter (exactly one memo force for the second
-   consumer, docs/STREAMS.md "Shared consumers"). *)
+   consumer, docs/STREAMS.md "Shared consumers"); the memo-redrive and
+   rad-zip-scan-iteri scenarios pin the two offset-indexed block
+   sources, memo slices and RAD windows. *)
 let streams () =
   let n = 8_000 in
   let report label before sum =
@@ -137,6 +139,27 @@ let streams () =
   Printf.printf
     "shared-consumer: sum=%d max=%d shared_forces=%d trickle_fallbacks=%d\n" r1
     r2 d.Telemetry.s_shared_forces d.Telemetry.s_trickle_fallbacks;
+  (* Memo re-drive: the same BID reduced once more, now that its memo is
+     published.  Each block is a memo slice whose index function is the
+     array read, the map composes into it, and reduce runs the indexed
+     loop: one fused fold per block, no new shared force. *)
+  let b4 = Telemetry.snapshot () in
+  let r3 = Bds.Seq.reduce ( + ) 0 (Bds.Seq.map (fun x -> x land 1023) shared) in
+  let d = Telemetry.diff ~before:b4 ~after:(Telemetry.snapshot ()) in
+  Printf.printf "memo-redrive: sum=%d fused_folds=%d shared_forces=%d trickle_fallbacks=%d\n"
+    r3 d.Telemetry.s_fused_folds d.Telemetry.s_shared_forces
+    d.Telemetry.s_trickle_fallbacks;
+  (* The bignum-add shape: a RAD zipped with a scan output, consumed by
+     iteri.  The RAD's blocks are offset windows of its own index
+     function; the scan side has none, so each block's fold is the RAD
+     block's loop pulling the scan alongside: one fused fold per block
+     (scan phase 1 reads the RAD directly and bumps nothing). *)
+  let b5 = Telemetry.snapshot () in
+  let carry, _ = Bds.Seq.scan ( + ) 0 (Bds.Seq.map (fun x -> x land 1) input) in
+  let digits = Bds.Seq.zip_with (fun x c -> (x + c) land 255) input carry in
+  let out = Array.make n 0 in
+  Bds.Seq.iteri (fun i d -> out.(i) <- d) digits;
+  report "rad-zip-scan-iteri" b5 (Array.fold_left ( + ) 0 out);
   Runtime.shutdown ()
 
 (* Drive fixed float pipelines and report the float-lane execution-path

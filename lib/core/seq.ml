@@ -107,7 +107,9 @@ let unopt = function Some v -> v | None -> assert false
    part of one conceptual consumption and already priced by the cost
    semantics (a scan's delayed phase 3, a filter's emission pass): it
    reroutes through the memo when one exists but neither counts as a
-   new consumer nor triggers a force. *)
+   new consumer nor triggers a force.  A memo block's index function is
+   the array read at global positions, so stages over it read the memo
+   directly. *)
 
 let memo_blocks b a j =
   let lo = j * b.b_size in
@@ -238,14 +240,14 @@ let scan_sums f z sums =
 (* Conversions (Figure 9)                                              *)
 
 (* BIDfromSeq, with a caller-specified block size for RAD inputs so [zip]
-   can align blocks with an existing BID. *)
+   can align blocks with an existing BID.  Each block is a window of the
+   RAD's own [get], which its loop and stages over it call directly. *)
 let bid_of_seq_with bsize = function
   | Bid b -> b
   | Rad { r_len; get } ->
     fresh_bid ~b_len:r_len ~b_size:bsize (fun () j ->
         let lo = j * bsize in
-        let len = min bsize (r_len - lo) in
-        Stream.tabulate len (fun k -> get (lo + k)))
+        Stream.tabulate_at lo (min bsize (r_len - lo)) get)
 
 let bid_of_seq s = bid_of_seq_with (Block.size (length s)) s
 
@@ -412,12 +414,13 @@ let offset_search offsets pos =
    adjacent subsequences, with the boundary located by binary search on
    [offsets] only once per block (the parallel split point) — inside the
    block a native outer/inner loop pair does the walking, so consumers
-   of region blocks are fused instead of trickle fallbacks. *)
-let region_block ~offsets ~seg_len ~elem ~total ~bsize i =
+   of region blocks are fused instead of trickle fallbacks.  The inner
+   loop calls subsequence [j]'s index function [seg j] directly. *)
+let region_block ~offsets ~seg_len ~seg ~total ~bsize i =
   let pos = i * bsize in
   let len = min bsize (total - pos) in
   let j0 = offset_search offsets pos in
-  Stream.of_segments ~length:len ~seg_len ~elem ~start_seg:j0
+  Stream.of_segments ~length:len ~seg_len ~seg ~start_seg:j0
     ~start_ofs:(pos - offsets.(j0))
 
 (* Two-level packed results ([filter_op], [partition]): expose [packed]
@@ -433,7 +436,7 @@ let packed_bid (packed : 'a array array) =
       (fresh_bid ~b_len:total ~b_size:bsize (fun () ->
            region_block ~offsets
              ~seg_len:(fun j -> Array.length packed.(j))
-             ~elem:(fun j k -> packed.(j).(k))
+             ~seg:(fun j -> Array.unsafe_get packed.(j))
              ~total ~bsize))
   end
 
@@ -516,11 +519,12 @@ let flatten (s : 'a t t) =
         (* Lazy outer spine: ONE parallel pass drives the outer — which
            in the flat_map idiom is itself a delayed map — evaluating
            each outer element once, forcing it to random access and
-           measuring it in place.  The previous spine materialised the
-           outer three times over ([to_array] + a parallel [rad_of_seq]
-           map + a parallel [length] map), and that eager outer work
-           dominated the flatten-chain bench (BENCH_8 host_note). *)
-        let inners = Array.make n_out empty in
+           recording its index function and length in place.  The
+           previous spine materialised the outer three times over
+           ([to_array] + a parallel [rad_of_seq] map + a parallel
+           [length] map), and that eager outer work dominated the
+           flatten-chain bench (BENCH_8 host_note). *)
+        let gets = Array.make n_out (fun _ -> assert false) in
         let lengths = Array.make n_out 0 in
         let ob = bid_of_seq s in
         let oblocks = drive ob in
@@ -528,24 +532,21 @@ let flatten (s : 'a t t) =
             let lo, _ = block_bounds ob j in
             Stream.iteri ~base:lo
               (fun i inner ->
-                let r = rad_of_seq inner in
-                Array.unsafe_set inners i r;
-                Array.unsafe_set lengths i (length r))
+                match rad_of_seq inner with
+                | Rad { r_len; get } ->
+                  Array.unsafe_set gets i get;
+                  Array.unsafe_set lengths i r_len
+                | Bid _ -> assert false)
               (oblocks j));
         let offsets, total = Parray.scan ( + ) 0 lengths in
         if total = 0 then empty
         else begin
           let bsize = Block.size total in
-          let elem j k =
-            match inners.(j) with
-            | Rad { get; _ } -> get k
-            | Bid _ -> assert false
-          in
           Bid
             (fresh_bid ~b_len:total ~b_size:bsize (fun () ->
                  region_block ~offsets
-                   ~seg_len:(fun j -> Array.unsafe_get lengths j)
-                   ~elem ~total ~bsize))
+                   ~seg_len:(Array.unsafe_get lengths)
+                   ~seg:(Array.unsafe_get gets) ~total ~bsize))
         end
       end)
 
@@ -622,71 +623,21 @@ let equal eq s1 s2 =
 (* First rung of the int lane (ROADMAP "Extend the unboxed lane").
    OCaml ints are unboxed, so unlike [float_sum] there is no boxing to
    remove — the win is purely skipping the polymorphic combine-closure
-   dispatch per element: each block is one monomorphic [int] loop.  The
-   per-path split mirrors [float_sum]: RAD and memoised BIDs sum
-   straight over the index function / array, polling the cancellation
-   token every 64 elements like the stream loops; an unforced BID drives
-   [Stream.sum_ints] per block (monomorphic over a pure index function,
-   generic fold otherwise) with plain-int partials. *)
+   dispatch per element: each block drives [Stream.sum_ints], one
+   monomorphic [int] loop over a pure index function (a RAD's own [get],
+   a memo slice, stateless stages over them; generic fold otherwise),
+   polling the cancellation token every 64 elements, with plain-int
+   partials. *)
 let int_sum s =
   Profile.with_op "int_sum" @@ fun () ->
-  match s with
-  | Rad { r_len; get } ->
-    if r_len = 0 then 0
-    else begin
-      let bsize = Block.size r_len in
-      let nb = Block.num_blocks ~block_size:bsize r_len in
-      let bounds j = (j * bsize, min r_len ((j + 1) * bsize)) in
-      let partial = Array.make nb 0 in
-      Runtime.apply_blocks ~bounds ~nb (fun j ->
-          let lo, hi = bounds j in
-          let acc = ref 0 in
-          let i = ref lo in
-          while !i < hi do
-            Cancel.poll ();
-            let stop = Int.min hi (!i + 64) in
-            for k = !i to stop - 1 do
-              acc := !acc + get k
-            done;
-            i := stop
-          done;
-          partial.(j) <- !acc);
-      Array.fold_left ( + ) 0 partial
-    end
-  | Bid b -> (
-    match Atomic.get b.memo with
-    | Some a ->
-      let n = Array.length a in
-      if n = 0 then 0
-      else begin
-        let bsize = Block.size n in
-        let nb = Block.num_blocks ~block_size:bsize n in
-        let bounds j = (j * bsize, min n ((j + 1) * bsize)) in
-        let partial = Array.make nb 0 in
-        Runtime.apply_blocks ~bounds ~nb (fun j ->
-            let lo, hi = bounds j in
-            let acc = ref 0 in
-            let i = ref lo in
-            while !i < hi do
-              Cancel.poll ();
-              let stop = Int.min hi (!i + 64) in
-              for k = !i to stop - 1 do
-                acc := !acc + Array.unsafe_get a k
-              done;
-              i := stop
-            done;
-            partial.(j) <- !acc);
-        Array.fold_left ( + ) 0 partial
-      end
-    | None ->
-      let nb = num_blocks_of b in
-      if nb = 0 then 0
-      else begin
-        let blocks = drive b in
-        let partial = Array.make nb 0 in
-        apply_bid_blocks b (fun j -> partial.(j) <- Stream.sum_ints (blocks j));
-        Array.fold_left ( + ) 0 partial
-      end)
+  if length s = 0 then 0
+  else begin
+    let b = bid_of_seq s in
+    let blocks = drive b in
+    let partial = Array.make (num_blocks_of b) 0 in
+    apply_bid_blocks b (fun j -> partial.(j) <- Stream.sum_ints (blocks j));
+    Array.fold_left ( + ) 0 partial
+  end
 
 let sum s = int_sum s
 

@@ -14,8 +14,15 @@ module Make (S : Bds_seqs.Sig.S) = struct
     let out_pairs u =
       S.tabulate (Csr.degree g u) (fun k -> (u, Csr.neighbor g u k))
     in
+    (* Read before the CAS: on a hub-heavy graph most edges of a round
+       point at vertices that are already claimed, and a failed CAS
+       still takes the slot's cache line exclusive, so every domain
+       would keep pulling the same hub lines back and forth.  The plain
+       read shares the line; exactly one CAS per vertex still wins. *)
     let try_visit (u, v) =
-      if Atomic.compare_and_set parents.(v) (-1) u then Some v else None
+      let p = parents.(v) in
+      if Atomic.get p = -1 && Atomic.compare_and_set p (-1) u then Some v
+      else None
     in
     let rec search frontier =
       if S.length frontier = 0 then ()

@@ -9,7 +9,7 @@
      mid-subsequence starts and the early-exit searches all need.
    - [fold] is a fused *push* driver: the stream owns the element loop
      and pushes each element into a consumer-supplied step function.
-     Sources ([tabulate], [of_array_slice]) run a direct [for] loop
+     Sources ([tabulate_at], [of_array_slice]) run a direct [for] loop
      (with [unsafe_get] on arrays); stateless stages compose into the
      source's index function at construction time (see [ixfn]), scans
      over such sources run their own native loop, and the remaining
@@ -46,16 +46,19 @@ type 'a t = {
           step function.  Consumers always pass [~stop:length]; [take]
           relies on every fold honouring a smaller [stop]. *)
   fused : bool;
+  off : int;
   ixfn : (int -> 'a) option;
-      (** [Some f] when the stream is semantically [tabulate length f]
-          with [f] pure per position (sources, and stateless combinator
-          chains over them).  Lets [map]/[mapi]/[zip_with] fuse by
-          *composing element functions at construction time* instead of
-          stacking a fold wrapper per stage: without cross-module
-          inlining (no flambda), each wrapper level costs one extra
-          2-argument closure call per element, which is exactly the
-          dispatch this representation exists to avoid.  Stateful stages
-          ([scan], [scan_incl]) and [make] break the chain ([None]). *)
+      (** [Some f] when the stream is semantically [tabulate_at off
+          length f] with [f] pure per *global* position (sources, and
+          stateless combinator chains over them), so a block of a larger
+          sequence calls the sequence's own index function.  Lets
+          [map]/[mapi]/[zip_with] fuse by *composing element functions
+          at construction time* instead of stacking a fold wrapper per
+          stage: without cross-module inlining (no flambda), each
+          wrapper level costs one extra 2-argument closure call per
+          element, which is exactly the dispatch this representation
+          exists to avoid.  Stateful stages ([scan], [scan_incl]) and
+          [make] break the chain ([None]). *)
 }
 
 (* Elements between cancellation polls in a push loop.  Matches the
@@ -96,19 +99,22 @@ let make ~length ~start =
     start;
     fold = (fun ~stop g z -> fold_of_start start ~stop g z);
     fused = false;
+    off = 0;
     ixfn = None;
   }
 
 (* ------------------------------------------------------------------ *)
 (* O(1) constructors                                                   *)
 
-let tabulate n f =
+(* Positions [off .. off+n-1] of [f], called directly by the loops. *)
+let tabulate_at off n f =
   {
     length = n;
+    off;
     ixfn = Some f;
     start =
       (fun () ->
-        let i = ref 0 in
+        let i = ref off in
         fun () ->
           let v = f !i in
           incr i;
@@ -116,7 +122,8 @@ let tabulate n f =
     fold =
       (fun ~stop g z ->
         let acc = ref z in
-        let i = ref 0 in
+        let stop = off + stop in
+        let i = ref off in
         while !i < stop do
           Cancel.poll ();
           let hi = Int.min stop (!i + poll_chunk) in
@@ -129,12 +136,15 @@ let tabulate n f =
     fused = true;
   }
 
+let tabulate n f = tabulate_at 0 n f
+
 let of_array_slice a off len =
   if off < 0 || len < 0 || off + len > Array.length a then
     invalid_arg "Stream.of_array_slice";
   {
     length = len;
-    ixfn = Some (fun k -> Array.unsafe_get a (off + k));
+    off;
+    ixfn = Some (Array.unsafe_get a);
     start =
       (fun () ->
         let i = ref off in
@@ -161,30 +171,34 @@ let of_array_slice a off len =
 let of_array a = of_array_slice a 0 (Array.length a)
 
 (* Stateless stages over a pure index function fuse at construction
-   time: [map g (tabulate f)] *is* [tabulate (g . f)], so the whole
-   stage chain collapses into the source's native loop (and into a
-   single-stage trickle) instead of adding a dispatch level. *)
+   time: [map g (tabulate_at off f)] *is* [tabulate_at off (g . f)], so
+   the whole stage chain collapses into the source's native loop (and
+   into a single-stage trickle) instead of adding a dispatch level. *)
 let map g s =
   match s.ixfn with
-  | Some f -> tabulate s.length (fun i -> g (f i))
+  | Some f -> tabulate_at s.off s.length (fun i -> g (f i))
   | None ->
     {
-      length = s.length;
+      s with
       start =
         (fun () ->
           let next = s.start () in
           fun () -> g (next ()));
       fold = (fun ~stop h z -> s.fold ~stop (fun acc v -> h acc (g v)) z);
-      fused = s.fused;
       ixfn = None;
     }
 
+(* A block driver's [base] is its block's offset, so an indexed block
+   composes with no index arithmetic. *)
 let mapi ?(base = 0) g s =
   match s.ixfn with
-  | Some f -> tabulate s.length (fun i -> g (base + i) (f i))
+  | Some f when base = s.off -> tabulate_at s.off s.length (fun i -> g i (f i))
+  | Some f ->
+    let d = base - s.off in
+    tabulate_at s.off s.length (fun i -> g (i + d) (f i))
   | None ->
   {
-    length = s.length;
+    s with
     start =
       (fun () ->
         let next = s.start () in
@@ -202,25 +216,26 @@ let mapi ?(base = 0) g s =
             i := k + 1;
             h acc (g k v))
           z);
-    fused = s.fused;
     ixfn = None;
   }
 
 (* Zipping in push mode: a push driver owns its element loop, so only
-   the left side pushes.  An indexed right side is read through its
-   index function at the left side's position (a [mapi] over the left
-   side), so its trickle is never pulled; any other right side is
-   pulled through its trickle [start] inside the left side's fold.
-   Still one loop per block; [fused] therefore reports the driving
-   (left) side. *)
+   the left side pushes.  Two indexed sides at the same offset (blocks
+   on one grid) compose directly.  Any other indexed right side is read
+   through its index function at the left side's position (a [mapi]
+   over the left side, based at the right side's offset), so its
+   trickle is never pulled; any other right side is pulled through its
+   trickle [start] inside the left side's fold.  Still one loop per
+   block; [fused] therefore reports the driving (left) side. *)
 let zip_with f s1 s2 =
   if s1.length <> s2.length then invalid_arg "Stream.zip_with: length mismatch";
   match (s1.ixfn, s2.ixfn) with
-  | Some f1, Some f2 -> tabulate s1.length (fun i -> f (f1 i) (f2 i))
-  | _, Some f2 -> mapi (fun k a -> f a (f2 k)) s1
+  | Some f1, Some f2 when s1.off = s2.off ->
+    tabulate_at s1.off s1.length (fun i -> f (f1 i) (f2 i))
+  | _, Some f2 -> mapi ~base:s2.off (fun k a -> f a (f2 k)) s1
   | _ ->
   {
-    length = s1.length;
+    s1 with
     start =
       (fun () ->
         let n1 = s1.start () in
@@ -233,7 +248,6 @@ let zip_with f s1 s2 =
       (fun ~stop h z ->
         let n2 = s2.start () in
         s1.fold ~stop (fun acc a -> h acc (f a (n2 ()))) z);
-    fused = s1.fused;
     ixfn = None;
   }
 
@@ -259,13 +273,14 @@ let scan f z s =
        the consumer accumulator advance in the same chunked [for] body,
        with no per-element wrapper call in between. *)
     {
-      length = s.length;
+      s with
       start;
       fold =
         (fun ~stop h z0 ->
           let st = ref z in
           let acc = ref z0 in
-          let i = ref 0 in
+          let stop = s.off + stop in
+          let i = ref s.off in
           while !i < stop do
             Cancel.poll ();
             let hi = Int.min stop (!i + poll_chunk) in
@@ -277,12 +292,11 @@ let scan f z s =
             i := hi
           done;
           !acc);
-      fused = true;
       ixfn = None;
     }
   | None ->
     {
-      length = s.length;
+      s with
       start;
       fold =
         (fun ~stop h z0 ->
@@ -293,7 +307,6 @@ let scan f z s =
               st := f cur v;
               h acc cur)
             z0);
-      fused = s.fused;
       ixfn = None;
     }
 
@@ -309,13 +322,14 @@ let scan_incl f z s =
   match s.ixfn with
   | Some fi ->
     {
-      length = s.length;
+      s with
       start;
       fold =
         (fun ~stop h z0 ->
           let st = ref z in
           let acc = ref z0 in
-          let i = ref 0 in
+          let stop = s.off + stop in
+          let i = ref s.off in
           while !i < stop do
             Cancel.poll ();
             let hi = Int.min stop (!i + poll_chunk) in
@@ -327,12 +341,11 @@ let scan_incl f z s =
             i := hi
           done;
           !acc);
-      fused = true;
       ixfn = None;
     }
   | None ->
     {
-      length = s.length;
+      s with
       start;
       fold =
         (fun ~stop h z0 ->
@@ -343,7 +356,6 @@ let scan_incl f z s =
               st := nxt;
               h acc nxt)
             z0);
-      fused = s.fused;
       ixfn = None;
     }
 
@@ -359,56 +371,64 @@ let take n s =
    over segments and a native chunked inner loop per segment — the
    nested-push shape of "Fast Collection Operations from Indexed Stream
    Fusion" — so consumers of region blocks count as fused instead of
-   falling back to a trickle-derived fold.  [seg_len]/[elem] must be
-   pure per position; the caller guarantees at least [length] elements
-   exist from ([start_seg], [start_ofs]) onward. *)
-let of_segments ~length ~seg_len ~elem ~start_seg ~start_ofs =
+   falling back to a trickle-derived fold.  [seg j] is segment [j]'s
+   index function, fetched once per segment and called directly by the
+   inner loop; it and [seg_len] must be pure per position.  The caller
+   guarantees at least [length] elements exist from ([start_seg],
+   [start_ofs]) onward. *)
+let of_segments ~length ~seg_len ~seg ~start_seg ~start_ofs =
   if length < 0 || start_seg < 0 || start_ofs < 0 then
     invalid_arg "Stream.of_segments";
   {
     length;
+    off = 0;
     ixfn = None;
     start =
       (fun () ->
-        let seg = ref start_seg in
-        let ofs = ref start_ofs in
+        let j = ref start_seg and ofs = ref start_ofs in
+        let cur = ref (-1) and get = ref (fun _ -> assert false) in
         fun () ->
-          while !ofs >= seg_len !seg do
-            incr seg;
+          while !ofs >= seg_len !j do
+            incr j;
             ofs := 0
           done;
-          let v = elem !seg !ofs in
+          if !cur <> !j then begin
+            cur := !j;
+            get := seg !j
+          end;
+          let v = !get !ofs in
           incr ofs;
           v);
     fold =
       (fun ~stop g z ->
         let acc = ref z in
         let emitted = ref 0 in
-        let seg = ref start_seg in
+        let j = ref start_seg in
         let ofs = ref start_ofs in
         while !emitted < stop do
-          let sl = seg_len !seg in
+          let sl = seg_len !j in
           if !ofs >= sl then begin
             (* Empty (or exhausted) segment: skipping costs one loop
                iteration, so keep polling even across a run of empties. *)
             Cancel.poll ();
-            incr seg;
+            incr j;
             ofs := 0
           end
           else begin
-            let cur = !seg in
+            let get = seg !j in
             let base = !ofs in
             let avail = Int.min (sl - base) (stop - !emitted) in
-            let i = ref 0 in
-            while !i < avail do
+            let hi_all = base + avail in
+            let i = ref base in
+            while !i < hi_all do
               Cancel.poll ();
-              let hi = Int.min avail (!i + poll_chunk) in
+              let hi = Int.min hi_all (!i + poll_chunk) in
               for k = !i to hi - 1 do
-                acc := g !acc (elem cur (base + k))
+                acc := g !acc (get k)
               done;
               i := hi
             done;
-            ofs := base + avail;
+            ofs := hi_all;
             emitted := !emitted + avail
           end
         done;
@@ -469,12 +489,13 @@ let masked_region ~length ~(blocks : int -> 'a t) ~masks ~start_block ~skip =
     invalid_arg "Stream.masked_region";
   {
     length;
+    off = 0;
     ixfn = None;
     start =
       (fun () ->
         let blk = ref start_block in
         let mask = ref Bytes.empty in
-        let len = ref 0 in
+        let len = ref 0 and off = ref 0 in
         let pos = ref 0 in
         let ix = ref None in
         let next = ref (fun () -> assert false) in
@@ -485,6 +506,7 @@ let masked_region ~length ~(blocks : int -> 'a t) ~masks ~start_block ~skip =
             mask := masks !blk;
             incr blk;
             len := s.length;
+            off := s.off;
             pos := 0;
             ix := s.ixfn;
             (match s.ixfn with None -> next := s.start () | Some _ -> ());
@@ -500,7 +522,7 @@ let masked_region ~length ~(blocks : int -> 'a t) ~masks ~start_block ~skip =
                 decr to_skip;
                 go ()
               end
-              else f k
+              else f (!off + k)
             | None ->
               let k = !pos in
               pos := k + 1;
@@ -535,13 +557,14 @@ let masked_region ~length ~(blocks : int -> 'a t) ~masks ~start_block ~skip =
                let len = s.length in
                match s.ixfn with
                | Some f ->
+                 let off = s.off in
                  let p = ref 0 in
                  while !p < len do
                    Cancel.poll ();
                    let hi = Int.min len (!p + poll_chunk) in
                    let k = ref (next_set mask !p hi) in
                    while !k < hi do
-                     if !to_skip > 0 then decr to_skip else emit (f !k);
+                     if !to_skip > 0 then decr to_skip else emit (f (off + !k));
                      k := next_set mask (!k + 1) hi
                    done;
                    p := hi
@@ -598,9 +621,9 @@ let sum_floats (s : float t) =
   | Some f ->
     Telemetry.incr_float_fast_path ();
     profiled (fun () ->
-        let stop = s.length in
+        let stop = s.off + s.length in
         let s0 = ref 0.0 and s1 = ref 0.0 in
-        let i = ref 0 in
+        let i = ref s.off in
         while !i < stop do
           Cancel.poll ();
           let hi = Int.min stop (!i + poll_chunk) in
@@ -629,9 +652,9 @@ let sum_ints (s : int t) =
   match s.ixfn with
   | Some f ->
     profiled (fun () ->
-        let stop = s.length in
+        let stop = s.off + s.length in
         let acc = ref 0 in
-        let i = ref 0 in
+        let i = ref s.off in
         while !i < stop do
           Cancel.poll ();
           let hi = Int.min stop (!i + poll_chunk) in
@@ -658,9 +681,9 @@ let reduce1 f s =
   match s.ixfn with
   | Some g ->
     profiled (fun () ->
-        let stop = s.length in
-        let acc = ref (g 0) in
-        let i = ref 1 in
+        let stop = s.off + s.length in
+        let acc = ref (g s.off) in
+        let i = ref (s.off + 1) in
         while !i < stop do
           Cancel.poll ();
           let hi = Int.min stop (!i + poll_chunk) in
@@ -732,12 +755,13 @@ let select_mask p s =
       in
       (match s.ixfn with
        | Some f ->
+         let off = s.off in
          let i = ref 0 in
          while !i < n do
            Cancel.poll ();
            let hi = Int.min n (!i + poll_chunk) in
            for k = !i to hi - 1 do
-             if p (f k) then begin
+             if p (f (off + k)) then begin
                mask_set mask k;
                incr cnt
              end

@@ -6,6 +6,12 @@
     {!pack_to_array}, ...) drives the stream.  Streams are the per-block
     representation inside BID sequences.
 
+    A stream built from an index function ({!tabulate_at}, or
+    stateless stages over one) keeps that function indexed by {e global}
+    position: element [k] of [tabulate_at off n f] is [f (off + k)], so
+    a block of a larger sequence calls the sequence's own index function
+    with no offset wrapper in between.
+
     Every stream carries two execution representations (see
     docs/STREAMS.md):
 
@@ -51,26 +57,39 @@ val make : length:int -> start:(unit -> unit -> 'a) -> 'a t
 
 (** {1 O(1) constructors} *)
 
+(** [tabulate_at off n f] streams [f off .. f (off+n-1)]: the loop runs
+    over global positions and calls [f] directly.  Stateless stages over
+    it compose into [f] at the same offset. *)
+val tabulate_at : int -> int -> (int -> 'a) -> 'a t
+
+(** [tabulate n f] is [tabulate_at 0 n f]. *)
 val tabulate : int -> (int -> 'a) -> 'a t
+
 val of_array : 'a array -> 'a t
 
-(** [of_array_slice a off len] streams [a.(off) .. a.(off+len-1)]. *)
+(** [of_array_slice a off len] streams [a.(off) .. a.(off+len-1)]; its
+    index function is the array read at global position [off + k]. *)
 val of_array_slice : 'a array -> int -> int -> 'a t
 
 val map : ('a -> 'b) -> 'a t -> 'b t
 
 (** [mapi ?base g s] maps element [k] to [g (base + k) v]; [base]
     (default 0) lets a caller that knows the block's global offset pass
-    it once instead of wrapping [g] in a per-element offset closure. *)
+    it once instead of wrapping [g] in a per-element offset closure.
+    Over an indexed stream whose offset is [base] — a block driver's
+    case — [g] composes with the index function at the same global
+    position, with no index arithmetic. *)
 val mapi : ?base:int -> (int -> 'a -> 'b) -> 'a t -> 'b t
 
 val zip : 'a t -> 'b t -> ('a * 'b) t
 
 (** [zip_with f s1 s2] pairs elements by position; the left side
-    drives.  An indexed right side (a source, or stateless stages over
-    one) is read through its index function, so its trickle is never
-    pulled; any other right side is pulled through {!start} in lockstep
-    with the left side's fold.  {!is_fused} reports the left side.
+    drives.  Two indexed sides at the same offset compose into one
+    index function.  Any other indexed right side (a source, or
+    stateless stages over one) is read through its index function, so
+    its trickle is never pulled; any other right side is pulled through
+    {!start} in lockstep with the left side's fold.  {!is_fused} reports
+    the left side.
     Raises [Invalid_argument] on a length mismatch. *)
 val zip_with : ('a -> 'b -> 'c) -> 'a t -> 'b t -> 'c t
 
@@ -87,18 +106,20 @@ val take : int -> 'a t -> 'a t
 
 (** Nested-push concatenation of indexed segments, starting
     mid-subsequence — the region view behind [Seq.flatten] and the
-    packed two-level results.  [of_segments ~length ~seg_len ~elem
+    packed two-level results.  [of_segments ~length ~seg_len ~seg
     ~start_seg ~start_ofs] yields [length] elements by walking segments
     [start_seg, start_seg+1, ...] in order, beginning at offset
-    [start_ofs] inside the first; element [i] of segment [s] is
-    [elem s i] and segment [s] holds [seg_len s] elements (both must be
-    pure per position).  The fold is a native outer-loop/inner-loop pair
-    keeping the 64-element cancellation cadence, so consumers count as
-    fused.  The caller guarantees enough elements exist; O(1). *)
+    [start_ofs] inside the first; [seg s] is segment [s]'s index
+    function (element [i] is [seg s i]) and segment [s] holds
+    [seg_len s] elements (both must be pure per position).  [seg s] is
+    fetched once per segment and the inner loop calls it directly.  The
+    fold is a native outer-loop/inner-loop pair keeping the 64-element
+    cancellation cadence, so consumers count as fused.  The caller
+    guarantees enough elements exist; O(1). *)
 val of_segments :
   length:int ->
   seg_len:(int -> int) ->
-  elem:(int -> int -> 'a) ->
+  seg:(int -> int -> 'a) ->
   start_seg:int ->
   start_ofs:int ->
   'a t

@@ -125,6 +125,34 @@ let test_bfs_small_blocks () =
       let g = Rmat.generate ~seed:5 ~scale:7 ~num_edges:600 () in
       check_bfs "delay small blocks" Bfs.Delay_version.bfs g 0)
 
+(* Frontier claims race on hub vertices: a dense R-MAT (average degree
+   ~40, so most edges of a round point at already-claimed hubs) must
+   give a valid BFS tree reaching exactly the reference's vertices at 1,
+   2 and 4 domains, for every version. *)
+let test_bfs_hub_domains () =
+  let g = Rmat.generate ~seed:9 ~scale:10 ~num_edges:40_000 () in
+  let reached = Array.map (fun d -> d >= 0) (Csr.bfs_distances g 0) in
+  Fun.protect
+    ~finally:(fun () -> Bds_runtime.Runtime.set_num_domains domains)
+    (fun () ->
+      List.iter
+        (fun d ->
+          Bds_runtime.Runtime.set_num_domains d;
+          List.iter
+            (fun (v, bfs) ->
+              let name = Printf.sprintf "%s at %d domains" v d in
+              let parents = bfs g 0 in
+              Alcotest.(check bool) (name ^ " valid") true
+                (Bfs.valid_parents g 0 parents);
+              Alcotest.(check (array bool)) (name ^ " reach") reached
+                (Array.map (fun p -> p >= 0) parents))
+            [
+              ("array", Bfs.Array_version.bfs);
+              ("rad", Bfs.Rad_version.bfs);
+              ("delay", Bfs.Delay_version.bfs);
+            ])
+        [ 1; 2; 4 ])
+
 let () =
   Alcotest.run "graph"
     [
@@ -141,5 +169,7 @@ let () =
           Alcotest.test_case "seed matrix" `Quick test_bfs_seed_matrix;
           Alcotest.test_case "forest invariant" `Quick test_bfs_forest_invariant;
           Alcotest.test_case "small blocks" `Quick test_bfs_small_blocks;
+          Alcotest.test_case "hub-heavy rmat at 1/2/4 domains" `Quick
+            test_bfs_hub_domains;
         ] );
     ]

@@ -120,8 +120,9 @@ let test_cancellation_mid_block_push () =
      a fault stops a long fold *mid-block* — within one chunk of the
      poisoned element — even when the whole sequence is a single block
      (where block-boundary polling alone would run all 100k elements
-     before noticing).  The RAD [reduce] and [int_sum] loops read the
-     index function directly instead of folding a stream, and keep the
+     before noticing).  The RAD [reduce] loop reads the index function
+     directly instead of folding a stream, and [int_sum]'s per-block
+     [Stream.sum_ints] loop calls the RAD's own [get]; both keep the
      same cadence.  One worker + one fixed block keeps the element order
      deterministic. *)
   Fun.protect

@@ -7,6 +7,12 @@ open Bds_test_util
 
 let check_ilist = Alcotest.(check (list int))
 
+let trickle_to_list s =
+  let next = Stream.start s in
+  let n = Stream.length s in
+  let rec go i acc = if i = n then List.rev acc else go (i + 1) (next () :: acc) in
+  go 0 []
+
 let test_tabulate () =
   check_ilist "tabulate" [ 0; 2; 4; 6 ] (Stream.to_list (Stream.tabulate 4 (fun i -> 2 * i)));
   check_ilist "empty" [] (Stream.to_list (Stream.tabulate 0 (fun _ -> assert false)))
@@ -265,13 +271,23 @@ let test_fold_poll_cadence () =
 let test_of_segments () =
   let segs = [| [| 0; 1; 2 |]; [||]; [| 3 |]; [| 4; 5; 6; 7 |]; [| 8 |] |] in
   let seg_len s = Array.length segs.(s) in
-  let elem s i = segs.(s).(i) in
+  let fetched = ref 0 in
+  let seg s =
+    incr fetched;
+    Array.get segs.(s)
+  in
   let mk ~length ~start_seg ~start_ofs =
-    Stream.of_segments ~length ~seg_len ~elem ~start_seg ~start_ofs
+    Stream.of_segments ~length ~seg_len ~seg ~start_seg ~start_ofs
   in
   let s = mk ~length:9 ~start_seg:0 ~start_ofs:0 in
   Alcotest.(check bool) "fused" true (Stream.is_fused s);
   check_ilist "full" [ 0; 1; 2; 3; 4; 5; 6; 7; 8 ] (Stream.to_list s);
+  (* One index-function fetch per non-empty segment, on both paths. *)
+  Alcotest.(check int) "push: one fetch per segment" 4 !fetched;
+  fetched := 0;
+  check_ilist "full trickle" [ 0; 1; 2; 3; 4; 5; 6; 7; 8 ]
+    (trickle_to_list (mk ~length:9 ~start_seg:0 ~start_ofs:0));
+  Alcotest.(check int) "trickle: one fetch per segment" 4 !fetched;
   (* Mid-segment start, both execution paths. *)
   let mid = mk ~length:4 ~start_seg:3 ~start_ofs:1 in
   check_ilist "mid-segment push" [ 5; 6; 7; 8 ]
@@ -287,11 +303,11 @@ let test_of_segments () =
 
 (* Masked regions.  Input block [j] holds the values [blen*j ..
    blen*j+blen-1] (so a value is its global position), either indexed (a
-   tabulate: the seek path) or not (a scan over one, which carries no
-   index function: the walk path).  Masks come from [select_mask] over a
-   fresh copy of the block. *)
+   block at offset [blen*j] of the identity: the seek path) or not (a
+   scan over one, which carries no index function: the walk path).
+   Masks come from [select_mask] over a fresh copy of the block. *)
 let region_input ~indexed ~blen j =
-  let s = Stream.tabulate blen (fun k -> (blen * j) + k) in
+  let s = Stream.tabulate_at (blen * j) blen Fun.id in
   if indexed then s else Stream.scan_incl (fun _ v -> v) 0 s
 
 let region ~indexed ~blen ~keep ~length ~start_block ~skip =
@@ -401,10 +417,10 @@ let test_masked_region_zero_bytes_cancel () =
 let test_region_poll_cadence () =
   poll_cadence_of (fun poison ->
       let seg_len _ = 1_000 in
-      let elem s i = poison ((1_000 * s) + i) in
+      let seg s i = poison ((1_000 * s) + i) in
       ignore
         (Stream.reduce ( + ) 0
-           (Stream.of_segments ~length:100_000 ~seg_len ~elem ~start_seg:0
+           (Stream.of_segments ~length:100_000 ~seg_len ~seg ~start_seg:0
               ~start_ofs:0)));
   (* Masked regions: every position survives on the seek path; on the
      walk path nothing survives past 1000, so only the input loop's own
@@ -486,12 +502,6 @@ let mk_chain (a, use_slice, ops) () =
     else Stream.of_array a
   in
   List.fold_left apply_op base ops
-
-let trickle_to_list s =
-  let next = Stream.start s in
-  let n = Stream.length s in
-  let rec go i acc = if i = n then List.rev acc else go (i + 1) (next () :: acc) in
-  go 0 []
 
 let push_pull_tests =
   let open QCheck2 in
@@ -582,6 +592,129 @@ let push_pull_tests =
           (List.init nb Fun.id));
   ]
 
+(* QCheck: offset-indexed blocks.  A stream at offset [off] built from
+   [tabulate_at] or [of_array_slice] holds [f (off + k)] at position
+   [k]; every stage chain over it, driven by push fold, by trickle pull
+   and by each indexed consumer, must equal the list model.  [mapi]
+   takes [base = off] (the block driver's case, composed with no index
+   arithmetic) or another base; zips pair the chain with indexed sides
+   at the same or another offset and with a non-indexed (scan) side, on
+   either side of the chain. *)
+type zip_side = ZSame | ZOther of int | ZScan
+
+type off_op =
+  | FMap of int
+  | FMapi of int option  (** [None]: [base = off]; [Some d]: [off + d] *)
+  | FZip of zip_side * bool  (** [true]: the chain is the left side *)
+  | FScan of int
+  | FScanIncl of int
+  | FTake of int
+
+let off_src k = (7 * k) - 11
+
+(* The chain and its list model, built together. *)
+let off_chain (off, n, use_array, ops) =
+  let src =
+    if use_array then Stream.of_array_slice (Array.init (off + n + 3) off_src) off n
+    else Stream.tabulate_at off n off_src
+  in
+  let side len = function
+    | ZSame -> (Stream.tabulate_at off len (fun i -> 3 * i), List.init len (fun k -> 3 * (off + k)))
+    | ZOther d ->
+      ( Stream.tabulate_at (off + d) len (fun i -> 3 * i),
+        List.init len (fun k -> 3 * (off + d + k)) )
+    | ZScan ->
+      ( Stream.scan ( + ) 1 (Stream.tabulate_at off len Fun.id),
+        fst (list_scan ( + ) 1 (List.init len (fun k -> off + k))) )
+  in
+  List.fold_left
+    (fun (s, m) op ->
+      match op with
+      | FMap k -> (Stream.map (fun x -> (2 * x) + k) s, List.map (fun x -> (2 * x) + k) m)
+      | FMapi d ->
+        let base = off + Option.value d ~default:0 in
+        let g i v = (5 * i) - v in
+        ( (match d with None -> Stream.mapi ~base:off g s | Some _ -> Stream.mapi ~base g s),
+          List.mapi (fun k v -> g (base + k) v) m )
+      | FZip (kind, left) ->
+        let r, rm = side (List.length m) kind in
+        let f a b = (31 * a) - b in
+        if left then (Stream.zip_with f s r, List.map2 f m rm)
+        else (Stream.zip_with f r s, List.map2 f rm m)
+      | FScan k -> (Stream.scan ( + ) k s, fst (list_scan ( + ) k m))
+      | FScanIncl k -> (Stream.scan_incl ( + ) k s, list_scan_incl ( + ) k m)
+      | FTake k ->
+        let k = k mod (List.length m + 1) in
+        (Stream.take k s, List.filteri (fun i _ -> i < k) m))
+    (src, List.init n (fun k -> off_src (off + k)))
+    ops
+
+let offset_tests =
+  let open QCheck2 in
+  let gen_op =
+    Gen.(
+      oneof
+        [
+          map (fun k -> FMap k) (int_range (-3) 3);
+          return (FMapi None);
+          map (fun d -> FMapi (Some d)) (int_range (-5) 5);
+          map2 (fun k l -> FZip (k, l))
+            (oneof [ return ZSame; map (fun d -> ZOther d) (int_range (-4) 4); return ZScan ])
+            bool;
+          map (fun k -> FScan k) (int_range (-3) 3);
+          map (fun k -> FScanIncl k) (int_range (-3) 3);
+          map (fun k -> FTake k) (int_range 0 40);
+        ])
+  in
+  let gen =
+    Gen.(
+      quad (int_range 0 200) (int_range 0 40) bool (list_size (int_range 0 4) gen_op))
+  in
+  let print (off, n, arr, ops) =
+    Printf.sprintf "off=%d n=%d array=%b ops=%d" off n arr (List.length ops)
+  in
+  [
+    Test.make ~name:"offset blocks: push = pull = list model" ~count:500 ~print gen
+      (fun c ->
+        let mk () = off_chain c in
+        let m = snd (mk ()) in
+        let keep x = x land 3 <> 0 in
+        let mask, cnt = Stream.select_mask keep (fst (mk ())) in
+        let kept = List.filter keep m in
+        let step a b = (31 * a) - b in
+        Stream.to_list (fst (mk ())) = m
+        && trickle_to_list (fst (mk ())) = m
+        && Stream.sum_ints (fst (mk ())) = List.fold_left ( + ) 0 m
+        && Stream.sum_floats (Stream.map (fun x -> float_of_int (x land 1023)) (fst (mk ())))
+           = float_of_int (List.fold_left (fun a x -> a + (x land 1023)) 0 m)
+        && (m = []
+           || Stream.reduce1 step (fst (mk ()))
+              = List.fold_left step (List.hd m) (List.tl m))
+        && cnt = List.length kept
+        && List.for_all2
+             (fun k x ->
+               Char.code (Bytes.get mask (k lsr 3)) land (1 lsl (k land 7)) <> 0
+               = keep x)
+             (List.init (List.length m) Fun.id) m
+        &&
+        (* Two copies of the chain as the input blocks of a region,
+           every skip into their survivors.  A region that reads past
+           them raises instead of seeking on forever. *)
+        let both = kept @ kept in
+        let within j = if j > 1 then invalid_arg "region ran past its input" in
+        List.for_all
+          (fun skip ->
+            let expect = List.filteri (fun i _ -> i >= skip) both in
+            let region () =
+              Stream.masked_region ~length:(List.length expect)
+                ~blocks:(fun j -> within j; fst (mk ()))
+                ~masks:(fun j -> within j; mask)
+                ~start_block:0 ~skip
+            in
+            Stream.to_list (region ()) = expect && trickle_to_list (region ()) = expect)
+          (List.init (List.length both + 1) Fun.id));
+  ]
+
 (* The alternative pure state-passing encoding must agree with the
    trickle-closure encoding on every operation. *)
 module SP = Bds_stream.Stream_pure
@@ -654,6 +787,7 @@ let () =
       ("properties", List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests);
       ( "push/pull",
         List.map (QCheck_alcotest.to_alcotest ~long:false) push_pull_tests );
+      ("offsets", List.map (QCheck_alcotest.to_alcotest ~long:false) offset_tests);
       ( "pure encoding",
         Alcotest.test_case "operations" `Quick test_pure_encoding
         :: List.map (QCheck_alcotest.to_alcotest ~long:false) pure_equiv_tests );
