@@ -1,6 +1,6 @@
 # Convenience targets (cf. the paper artifact's makefiles).
 
-.PHONY: all build test stress trace-smoke profile-smoke serve-smoke metrics-smoke perfbench-smoke bench bench-quick bench-compare examples clean
+.PHONY: all build test stress trace-smoke profile-smoke serve-smoke metrics-smoke perfbench-smoke bench bench-quick bench-compare alloc-gate examples clean
 
 # Fixed-seed chaos specification used by `make stress` (see
 # docs/RUNTIME.md for the BDS_CHAOS format).  delay+starve perturb
@@ -83,6 +83,11 @@ bench-quick:
 # for knobs).
 bench-compare:
 	scripts/bench_compare
+
+# Allocation gate: the Figure 13/14 "Ours" kernels' major-heap
+# allocation vs BENCH_17.json, 5% tolerance (see scripts/alloc_gate).
+alloc-gate:
+	scripts/alloc_gate
 
 examples:
 	dune exec examples/quickstart.exe

@@ -1,5 +1,6 @@
 (* Perf-regression gate: compare a fresh benchmark CSV (bench/main.exe
-   --csv) against the committed baseline snapshot (BENCH_9.json).
+   --csv) against a committed baseline snapshot (BENCH_9.json for the
+   ratios below, BENCH_17.json for the paper kernels' allocation).
 
    The host is a shared container whose absolute wall-clock drifts by
    tens of percent between runs, so the gate judges *within-run ratios*
@@ -7,7 +8,10 @@
    the fused-vs-materialized speedup of the Seq filter/flatten chains,
    and the unboxed-vs-boxed speedup of every float-kernels bench — each
    divides two times measured seconds apart on the same machine, which
-   is stable (see the snapshots' host_note).  A section is gated when it is
+   is stable (see the snapshots' host_note).  The one absolute figure
+   gated by default is major-heap allocation: the Figure 13/14 "Ours"
+   kernels' [major_alloc_bytes], measured on a one-domain pool, which is
+   near-deterministic on any host.  A section is gated when it is
    present in the baseline's "results" (so older BENCH_4-shaped
    baselines still work); a baseline with no known section is a usage
    error, never a silent pass.  Absolute times are compared only under
@@ -255,16 +259,65 @@ let build_checks ~absolute json rows =
       Ok (List.rev checks)
     | Some _ -> Error "baseline: results.float-kernels is not an object"
   in
+  (* paper-alloc: gate the major-heap bytes of every Figure 13/14
+     "Ours" kernel the baseline records, keyed "SECTION/BENCH" (present
+     since BENCH_17); lower is better. *)
+  let alloc_checks () =
+    match J.path [ "results"; "paper-alloc" ] json with
+    | None -> Ok []
+    | Some (J.Obj kernels) ->
+      let* checks =
+        List.fold_left
+          (fun acc (key, v) ->
+            let* acc = acc in
+            let* section, bench =
+              match String.index_opt key '/' with
+              | Some i ->
+                Ok (String.sub key 0 i, String.sub key (i + 1) (String.length key - i - 1))
+              | None ->
+                Error
+                  (Printf.sprintf "baseline: paper-alloc key %S is not SECTION/BENCH" key)
+            in
+            let* base =
+              match Option.bind (J.member "major_alloc_bytes" v) J.to_float with
+              | Some f -> Ok f
+              | None ->
+                Error
+                  (Printf.sprintf
+                     "baseline: missing results.paper-alloc.%s.major_alloc_bytes" key)
+            in
+            let* current =
+              match
+                find rows ~section ~bench ~version:"delay" ~metric:"major_alloc_bytes"
+              with
+              | Some c -> Ok c
+              | None ->
+                Error (Printf.sprintf "csv: no major_alloc_bytes for %s/%s/delay" section bench)
+            in
+            Ok
+              ({
+                 name = Printf.sprintf "paper-alloc %s Ours major_alloc_bytes" key;
+                 dir = Lower_better;
+                 baseline = base;
+                 current;
+               }
+              :: acc))
+          (Ok []) kernels
+      in
+      Ok (List.rev checks)
+    | Some _ -> Error "baseline: results.paper-alloc is not an object"
+  in
   let* sc = stream_checks () in
   let* filter_c = chain_checks "filter-chain" in
   let* flatten_c = chain_checks "flatten-chain" in
   let* fc = float_checks () in
-  match sc @ filter_c @ flatten_c @ fc with
+  let* ac = alloc_checks () in
+  match sc @ filter_c @ flatten_c @ fc @ ac with
   | [] ->
     Error
       "baseline: results contains no known gated section \
        (stream-overhead/chain3, stream-overhead/filter-chain, \
-       stream-overhead/flatten-chain or float-kernels)"
+       stream-overhead/flatten-chain, float-kernels or paper-alloc)"
   | checks -> Ok checks
 
 (* ------------------------------------------------------------------ *)

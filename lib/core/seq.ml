@@ -481,7 +481,7 @@ let filter p s =
                    let len = min bsize (total - pos) in
                    let j0 = offset_search offsets pos in
                    Stream.masked_region ~length:len ~blocks:p_in
-                     ~masks:(Array.get masks) ~start_block:j0
+                     ~masks:(Array.get masks) ~num_blocks:nb ~start_block:j0
                      ~skip:(pos - offsets.(j0))))
         end
       end)

@@ -482,11 +482,16 @@ let rec next_set mask p hi =
    region's stop.  The indexed seek polls the cancellation token once per
    64 positions whether or not they survive; the walk inherits the input
    loop's cadence.  [fused] mirrors [blocks start_block].  The caller
-   guarantees [skip + length] survivors exist from [start_block]
-   onward. *)
-let masked_region ~length ~(blocks : int -> 'a t) ~masks ~start_block ~skip =
-  if length < 0 || start_block < 0 || skip < 0 then
-    invalid_arg "Stream.masked_region";
+   guarantees [skip + length] survivors exist in blocks [start_block ..
+   num_blocks - 1]; a fold or trickle that reaches block [num_blocks]
+   short of them raises instead of asking [blocks] for ever-higher
+   indices. *)
+let masked_region ~length ~(blocks : int -> 'a t) ~masks ~num_blocks
+    ~start_block ~skip =
+  let short () = invalid_arg "Stream.masked_region" in
+  if length < 0 || start_block < 0 || skip < 0
+     || (length > 0 && start_block >= num_blocks)
+  then short ();
   {
     length;
     off = 0;
@@ -502,6 +507,7 @@ let masked_region ~length ~(blocks : int -> 'a t) ~masks ~start_block ~skip =
         let to_skip = ref skip in
         let rec go () =
           if !pos >= !len then begin
+            if !blk >= num_blocks then short ();
             let s = blocks !blk in
             mask := masks !blk;
             incr blk;
@@ -551,6 +557,7 @@ let masked_region ~length ~(blocks : int -> 'a t) ~masks ~start_block ~skip =
           let blk = ref start_block in
           (try
              while !emitted < stop do
+               if !blk >= num_blocks then short ();
                let s = blocks !blk in
                let mask = masks !blk in
                incr blk;

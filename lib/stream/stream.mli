@@ -136,12 +136,18 @@ val of_segments :
     once inside its own fold loop with a bit test per position.  The
     seek polls the cancellation token every 64 input positions, set or
     not; {!is_fused} mirrors [blocks start_block].  The caller
-    guarantees [skip + length] survivors exist from [start_block]
-    onward; O(1). *)
+    guarantees [skip + length] survivors exist in blocks [start_block ..
+    num_blocks - 1]; O(1).
+
+    @raise Invalid_argument when built with a negative argument or with
+    [length > 0] and [start_block >= num_blocks], and from {!fold} or
+    {!start} when they reach block [num_blocks] before emitting
+    [length] elements. *)
 val masked_region :
   length:int ->
   blocks:(int -> 'a t) ->
   masks:(int -> Bytes.t) ->
+  num_blocks:int ->
   start_block:int ->
   skip:int ->
   'a t

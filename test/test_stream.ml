@@ -310,10 +310,10 @@ let region_input ~indexed ~blen j =
   let s = Stream.tabulate_at (blen * j) blen Fun.id in
   if indexed then s else Stream.scan_incl (fun _ v -> v) 0 s
 
-let region ~indexed ~blen ~keep ~length ~start_block ~skip =
+let region ?(num_blocks = 8) ~indexed ~blen ~keep ~length ~start_block ~skip () =
   let blocks = region_input ~indexed ~blen in
   let masks j = fst (Stream.select_mask keep (blocks j)) in
-  Stream.masked_region ~length ~blocks ~masks ~start_block ~skip
+  Stream.masked_region ~length ~blocks ~masks ~num_blocks ~start_block ~skip
 
 (* The survivors of [keep] among positions [blen*start_block ..
    blen*nb-1], minus the first [skip]. *)
@@ -329,7 +329,7 @@ let test_masked_region () =
       let name s = Printf.sprintf "%s: %s" path s in
       let mk ?(blen = 10) ?(keep = fun v -> v mod 3 = 0) ~length ~start_block
           ~skip () =
-        region ~indexed ~blen ~keep ~length ~start_block ~skip
+        region ~indexed ~blen ~keep ~length ~start_block ~skip ()
       in
       let s = mk ~length:7 ~start_block:0 ~skip:0 () in
       Alcotest.(check bool) (name "fused mirrors input") true (Stream.is_fused s);
@@ -376,12 +376,12 @@ let test_masked_region () =
      input block. *)
   let inner j =
     region ~indexed:true ~blen:10 ~keep:(fun v -> v mod 3 = 0) ~length:3
-      ~start_block:j ~skip:0
+      ~start_block:j ~skip:0 ()
   in
   let outer_masks j = fst (Stream.select_mask (fun v -> v mod 2 = 0) (inner j)) in
   let nested () =
     Stream.masked_region ~length:4 ~blocks:inner ~masks:outer_masks
-      ~start_block:0 ~skip:0
+      ~num_blocks:4 ~start_block:0 ~skip:0
   in
   check_ilist "nested regions" [ 0; 6; 12; 18 ] (Stream.to_list (nested ()));
   let next = Stream.start (nested ()) in
@@ -409,9 +409,34 @@ let test_masked_region_zero_bytes_cancel () =
       Cancel.with_ambient tok (fun () ->
           ignore
             (Stream.reduce ( + ) 0
-               (Stream.masked_region ~length:50_000 ~blocks ~masks ~start_block:0
-                  ~skip:0))));
+               (Stream.masked_region ~length:50_000 ~blocks ~masks ~num_blocks:100
+                  ~start_block:0 ~skip:0))));
   Alcotest.(check int) "no survivor past the zero run evaluated" 1011 !touched
+
+(* A region that asks for more survivors than its [num_blocks] input
+   blocks hold raises once it reaches block [num_blocks], on the push
+   fold and on the trickle, whether it seeks or walks. *)
+let test_masked_region_short () =
+  let short = Invalid_argument "Stream.masked_region" in
+  List.iter
+    (fun indexed ->
+      (* 3 blocks of 10: survivors 0, 3, ..., 27 — ten of them. *)
+      let mk () =
+        region ~num_blocks:3 ~indexed ~blen:10 ~keep:(fun v -> v mod 3 = 0)
+          ~length:11 ~start_block:0 ~skip:0 ()
+      in
+      let path = if indexed then "seek" else "walk" in
+      Alcotest.check_raises (path ^ ": fold") short (fun () ->
+          ignore (Stream.to_list (mk ())));
+      Alcotest.check_raises (path ^ ": trickle") short (fun () ->
+          ignore (trickle_to_list (mk ())));
+      check_ilist (path ^ ": fold ~stop within the survivors") [ 0; 3; 6 ]
+        (List.rev (Stream.fold (mk ()) ~stop:3 (fun acc v -> v :: acc) [])))
+    [ true; false ];
+  Alcotest.check_raises "start past the last block" short (fun () ->
+      ignore
+        (region ~num_blocks:3 ~indexed:true ~blen:10 ~keep:(fun _ -> true)
+           ~length:1 ~start_block:3 ~skip:0 ()))
 
 (* The nested-push loops keep the 64-element cancellation cadence. *)
 let test_region_poll_cadence () =
@@ -435,8 +460,8 @@ let test_region_poll_cadence () =
           in
           ignore
             (Stream.reduce ( + ) 0
-               (Stream.masked_region ~length:10_000 ~blocks ~masks ~start_block:0
-                  ~skip:0))))
+               (Stream.masked_region ~length:10_000 ~blocks ~masks
+                  ~num_blocks:100 ~start_block:0 ~skip:0))))
     [ true; false ]
 
 let test_buffer () =
@@ -453,10 +478,44 @@ let test_buffer () =
   Buffer_ext.clear b;
   Alcotest.(check int) "cleared" 0 (Buffer_ext.length b)
 
+(* A per-block pack puts in the major heap only the array it returns:
+   the buffer's chunks live and die in the minor heap.  Survivors are
+   sparse so the chunks are few and no minor collection runs in mid-pack
+   (one would promote the live chunks). *)
+let test_pack_major_alloc () =
+  let n = 65_536 in
+  let keep v = if v mod 10 = 0 then Some v else None in
+  let s = Stream.tabulate n Fun.id in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).major_words in
+  let out = Stream.pack_op_to_array keep s in
+  Gc.minor ();
+  let words = (Gc.quick_stat ()).major_words -. before in
+  let kept = Array.length out in
+  Alcotest.(check int) "kept" ((n + 9) / 10) kept;
+  if words > float_of_int (kept + 8) then
+    Alcotest.failf "pack of %d survivors allocated %.0f major words" kept words
+
 (* QCheck: stream pipeline equals list pipeline. *)
 let qcheck_tests =
   let open QCheck2 in
   [
+    Test.make ~name:"buffer_ext = Array.init across chunk boundaries" ~count:200
+      ~print:Print.int
+      Gen.(oneof [ oneofl [ 0; 1; 255; 256; 257; 512; 513; 1024 ]; int_range 0 1100 ])
+      (fun n ->
+        let b = Buffer_ext.create () in
+        let fb = Buffer_ext.create () in
+        for i = 0 to n - 1 do
+          Buffer_ext.push b i;
+          Buffer_ext.push fb (float_of_int i)
+        done;
+        let fa = Buffer_ext.to_array fb in
+        Buffer_ext.to_array b = Array.init n Fun.id
+        && Buffer_ext.length b = n
+        && List.for_all (fun i -> Buffer_ext.get b i = i) (List.init n Fun.id)
+        && fa = Array.init n float_of_int
+        && (n = 0 || Obj.tag (Obj.repr fa) = Obj.double_array_tag));
     Test.make ~name:"scan matches list model" ~count:200 small_int_array (fun a ->
         let got = Stream.to_list (Stream.scan ( + ) 0 (Stream.of_array a)) in
         let expect, _ = list_scan ( + ) 0 (Array.to_list a) in
@@ -584,8 +643,8 @@ let push_pull_tests =
               (fun skip ->
                 let expect = List.filteri (fun i _ -> i >= skip) survivors in
                 let mk () =
-                  region ~indexed ~blen ~keep ~length:(List.length expect)
-                    ~start_block ~skip
+                  region ~num_blocks:nb ~indexed ~blen ~keep
+                    ~length:(List.length expect) ~start_block ~skip ()
                 in
                 trickle_to_list (mk ()) = expect && Stream.to_list (mk ()) = expect)
               (List.init (List.length survivors) Fun.id))
@@ -709,7 +768,7 @@ let offset_tests =
               Stream.masked_region ~length:(List.length expect)
                 ~blocks:(fun j -> within j; fst (mk ()))
                 ~masks:(fun j -> within j; mask)
-                ~start_block:0 ~skip
+                ~num_blocks:2 ~start_block:0 ~skip
             in
             Stream.to_list (region ()) = expect && trickle_to_list (region ()) = expect)
           (List.init (List.length both + 1) Fun.id));
@@ -782,7 +841,11 @@ let () =
           Alcotest.test_case "region poll cadence" `Quick test_region_poll_cadence;
           Alcotest.test_case "masked_region cancels in zero bytes" `Quick
             test_masked_region_zero_bytes_cancel;
+          Alcotest.test_case "masked_region short of survivors" `Quick
+            test_masked_region_short;
           Alcotest.test_case "buffer_ext" `Quick test_buffer;
+          Alcotest.test_case "pack allocates only what it keeps" `Quick
+            test_pack_major_alloc;
         ] );
       ("properties", List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests);
       ( "push/pull",

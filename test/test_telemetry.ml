@@ -34,6 +34,35 @@ let test_monotone () =
     (d.Telemetry.s_chunks_executed >= 99 (* ~n/grain, minus boundary *));
   Alcotest.(check bool) "polled cancellation" true (d.Telemetry.s_cancel_polls > 0)
 
+(* [cancel_polls] repeats exactly for a pure pipeline: a block loop
+   polls once per 64 positions of its block, and with a deterministic
+   select every block's extent is fixed by the input, whichever domain
+   runs it.  (bfs is the documented exception: its select claims
+   vertices by CAS, so the next round's segments move between runs; see
+   docs/OBSERVABILITY.md.) *)
+let test_cancel_polls_repeat () =
+  init ();
+  Bds_harness.Measure.with_domains 2 (fun () ->
+      let run () =
+        let before = snap () in
+        let sum =
+          Bds.Seq.tabulate 200_000 Fun.id
+          |> Bds.Seq.filter_op (fun i ->
+                 if i mod 3 = 0 then Some (Bds.Seq.tabulate (i mod 7) (fun k -> i + k))
+                 else None)
+          |> Bds.Seq.flatten
+          |> Bds.Seq.reduce ( + ) 0
+        in
+        (sum, (Telemetry.diff ~before ~after:(snap ())).Telemetry.s_cancel_polls)
+      in
+      let sum, polls = run () in
+      Alcotest.(check bool) "polled" true (polls > 0);
+      for i = 1 to 5 do
+        let sum', polls' = run () in
+        Alcotest.(check int) (Printf.sprintf "sum, run %d" i) sum sum';
+        Alcotest.(check int) (Printf.sprintf "cancel_polls, run %d" i) polls polls'
+      done)
+
 (* diff clamps at zero even for inverted snapshot pairs (racy lag). *)
 let test_diff_clamps () =
   init ();
@@ -144,6 +173,8 @@ let () =
         [
           Alcotest.test_case "monotone snapshots" `Quick test_monotone;
           Alcotest.test_case "diff clamps at zero" `Quick test_diff_clamps;
+          Alcotest.test_case "cancel_polls repeat for a pure pipeline" `Quick
+            test_cancel_polls_repeat;
           Alcotest.test_case "to_assoc order is fixed" `Quick test_assoc_order;
           Alcotest.test_case "auto_grain policy" `Quick test_auto_grain;
         ] );
